@@ -56,6 +56,6 @@ let worker_index () = None
 (* Inline spawn: the child runs to completion inside the calling
    simulated thread.  Scope's CAS protocol (enter/fail/leave racing
    across scenario threads) is what the checker explores; fiber
-   placement is the production engines' concern. *)
+   placement is the production scheduler's concern. *)
 let spawn body = body ()
 let spawn_on ~worker:_ body = body ()

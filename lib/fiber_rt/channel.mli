@@ -1,8 +1,7 @@
 (** Bounded FIFO channels for fibers: the communication primitive
-    pipelines are built from.  Safe under both engines — uncontended
-    locking on the single-threaded {!Fiber.run}, domain-safe under
-    {!Fiber.run_parallel} where the endpoints may sit on different
-    worker domains. *)
+    pipelines are built from.  Uncontended locking under the
+    one-worker {!Fiber.run}, domain-safe under {!Fiber.run_parallel}
+    where the endpoints may sit on different worker domains. *)
 
 exception Closed
 

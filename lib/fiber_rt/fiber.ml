@@ -1,31 +1,31 @@
 (* A real cooperative fiber runtime on OCaml effect handlers: user
-   contexts as one-shot continuations, with a thread-safe injection
-   path so other OS threads (the executors of [Blt_rt]) can wake
-   suspended fibers.
+   contexts as one-shot continuations, with lock-free cross-thread
+   wake-ups so other OS threads (the executors of [Blt_rt], the
+   reactor shards of lib/net) can resume suspended fibers.
 
-   Two engines share one fiber abstraction and one effect vocabulary:
+   One engine, the Section VII M:N extension made real on OCaml 5
+   domains: [run_parallel ~domains:n].  Each domain owns a Chase-Lev
+   [Atomic_deque] (LIFO owner pop, FIFO steal-half batches) plus a
+   private overflow FIFO for its own yields; cross-thread wake-ups
+   arrive on a lock-free MPSC injection channel reserved for foreign
+   threads; fiber completion is the lock-free [Completion] cell; and
+   idle workers park individually on a Treiber stack so one ready task
+   wakes exactly one worker (the spin-then-block idle-KC policy of the
+   paper's Table II, without the thundering herd).  Only *runnable*
+   continuations migrate between domains; a fiber's blocking jobs still
+   route to its home [Executor] (the original-KC analogue), so
+   system-call consistency is preserved under migration.
 
-   - [run]: the original single-threaded scheduler (one OS thread
-     drains a FIFO ready queue) -- deterministic, used by the
-     simulation-adjacent tests and demos.
+   [run] is the one-worker case.  With no thief, the lone worker keeps
+   its own spawns and wake-ups on its FIFO overflow (deterministic
+   spawn/resume order, as the model tests expect) and never spins
+   before parking: its producers are normally threads of its own domain
+   (executors, reactor shards), which cannot run OCaml code while it
+   spins holding the domain lock.
 
-   - [run_parallel ~domains:n]: the Section VII M:N extension made
-     real on OCaml 5 domains.  Each domain owns a Chase-Lev
-     [Atomic_deque] (LIFO owner pop, FIFO steal-half batches) plus a
-     private overflow FIFO for its own yields; cross-thread wake-ups
-     arrive on a lock-free MPSC injection channel reserved for foreign
-     threads; fiber completion is the lock-free [Completion] cell; and
-     idle workers park individually on a Treiber stack so one ready
-     task wakes exactly one worker (the spin-then-block idle-KC policy
-     of the paper's Table II, without the thundering herd).  Only
-     *runnable* continuations migrate between domains; a fiber's
-     blocking jobs still route to its home [Executor] (the original-KC
-     analogue), so system-call consistency is preserved under
-     migration.
-
-   This is substrate S3 of DESIGN.md (S2 being the single-threaded
-   engine): it shows that the BLT control flow is real executable code
-   and carries the wall-clock micro-benches of the bench harness. *)
+   This is substrate S2/S3 of DESIGN.md: it shows that the BLT control
+   flow is real executable code and carries the wall-clock micro-benches
+   of the bench harness. *)
 
 type fiber = {
   fid : int;
@@ -39,8 +39,8 @@ type fiber = {
    executor): [fire] CASes the token claimed and only the winner
    schedules the continuation, so several racing wakers -- I/O
    readiness vs a timer, say -- resolve to exactly one resume and the
-   losers learn they lost.  The closure inside routes through the
-   engine that parked the fiber (inject / pschedule).
+   losers learn they lost.  The closure inside routes the continuation
+   back through the scheduler that parked the fiber ([presume]).
 
    [fire_to] is the reactor's targeted entry point: an optional worker
    hint routes the continuation to that worker's private inbox (the
@@ -62,7 +62,6 @@ module Wake = struct
   }
 
   let make_routed resume = { fired = Atomic.make false; resume }
-  let make resume = make_routed (fun _ _ -> resume ())
 
   let fire t =
     if Atomic.exchange t.fired true then false
@@ -103,148 +102,12 @@ type _ Effect.t +=
 
 exception Not_in_scheduler
 
-type scheduler = {
-  ready : (unit -> unit) Queue.t; (* thunks resuming fibers *)
-  inject_mutex : Mutex.t;
-  inject_cond : Condition.t;
-  injected : (unit -> unit) Queue.t;
-  mutable live : int; (* fibers not yet Done *)
-  mutable next_fid : int;
-  mutable current : fiber option;
-  mutable executors : Executor.t list;
-}
-
-(* Completion must be safe against joiners on other domains (the
-   parallel engine) and costs one uncontended exchange on the single
-   engine: Completion.finish publishes Done and snatches the joiner
-   list in one atomic step, then wakes outside any lock. *)
+(* Completion must be safe against joiners on other domains:
+   Completion.finish publishes Done and snatches the joiner list in one
+   atomic step, then wakes outside any lock. *)
 let finish_fiber fb =
   fb.state <- `Done;
   Completion.finish fb.completion
-
-(* ================================================================ *)
-(* Engine 1: the single-threaded scheduler                           *)
-(* ================================================================ *)
-
-let make_scheduler () =
-  {
-    ready = Queue.create ();
-    inject_mutex = Mutex.create ();
-    inject_cond = Condition.create ();
-    injected = Queue.create ();
-    live = 0;
-    next_fid = 0;
-    current = None;
-    executors = [];
-  }
-
-(* Wake-ups may arrive from any OS thread. *)
-let inject sched thunk =
-  (* ulplint: allow raw-mutex-in-fiber -- the injection channel is fed by foreign OS threads (reactors, executors); this IS the engine the fiber primitives park through *)
-  Mutex.lock sched.inject_mutex;
-  Queue.push thunk sched.injected;
-  Condition.signal sched.inject_cond;
-  Mutex.unlock sched.inject_mutex
-
-let drain_injected sched =
-  (* ulplint: allow raw-mutex-in-fiber -- the injection channel is fed by foreign OS threads (reactors, executors); this IS the engine the fiber primitives park through *)
-  Mutex.lock sched.inject_mutex;
-  Queue.transfer sched.injected sched.ready;
-  Mutex.unlock sched.inject_mutex
-
-let new_fiber sched =
-  sched.next_fid <- sched.next_fid + 1;
-  sched.live <- sched.live + 1;
-  {
-    fid = sched.next_fid;
-    state = `Runnable;
-    completion = Completion.create ();
-    executor = None;
-  }
-
-let rec exec sched (fb : fiber) (thunk : unit -> unit) =
-  sched.current <- Some fb;
-  fb.state <- `Running;
-  thunk ();
-  sched.current <- None
-
-and handle sched fb body =
-  let open Effect.Deep in
-  match_with body ()
-    {
-      retc =
-        (fun () ->
-          sched.live <- sched.live - 1;
-          finish_fiber fb);
-      exnc = raise;
-      effc =
-        (fun (type b) (eff : b Effect.t) ->
-          match eff with
-          | Yield ->
-              Some
-                (fun (k : (b, unit) continuation) ->
-                  fb.state <- `Runnable;
-                  Queue.push
-                    (fun () -> exec sched fb (fun () -> continue k ()))
-                    sched.ready)
-          | Suspend register ->
-              Some
-                (fun (k : (b, unit) continuation) ->
-                  fb.state <- `Suspended;
-                  let tok =
-                    Wake.make (fun () ->
-                        inject sched (fun () ->
-                            fb.state <- `Runnable;
-                            exec sched fb (fun () -> continue k ())))
-                  in
-                  register tok)
-          | Spawn body' ->
-              Some
-                (fun (k : (b, unit) continuation) ->
-                  let child = new_fiber sched in
-                  Queue.push
-                    (fun () -> exec sched child (fun () -> handle sched child body'))
-                    sched.ready;
-                  continue k child)
-          | Spawn_on (_, body') ->
-              (* one thread: placement is meaningless, spawn locally *)
-              Some
-                (fun (k : (b, unit) continuation) ->
-                  let child = new_fiber sched in
-                  Queue.push
-                    (fun () -> exec sched child (fun () -> handle sched child body'))
-                    sched.ready;
-                  continue k child)
-          | Self -> Some (fun (k : (b, unit) continuation) -> continue k fb)
-          | _ -> None);
-    }
-
-(* Scheduler main loop: run ready fibers; when none are ready but fibers
-   are still live, sleep until an executor injects a wake-up. *)
-let run_loop sched =
-  let rec loop () =
-    drain_injected sched;
-    match Queue.take_opt sched.ready with
-    | Some thunk ->
-        thunk ();
-        loop ()
-    | None ->
-        if sched.live > 0 then begin
-          (* ulplint: allow raw-mutex-in-fiber -- the injection channel is fed by foreign OS threads (reactors, executors); this IS the engine the fiber primitives park through *)
-          Mutex.lock sched.inject_mutex;
-          while Queue.is_empty sched.injected do
-            (* ulplint: allow raw-mutex-in-fiber -- the injection channel is fed by foreign OS threads (reactors, executors); this IS the engine the fiber primitives park through *)
-            Condition.wait sched.inject_cond sched.inject_mutex
-          done;
-          Mutex.unlock sched.inject_mutex;
-          loop ()
-        end
-  in
-  loop ()
-
-(* ================================================================ *)
-(* Engine 2: the parallel work-stealing scheduler (OCaml 5 domains)  *)
-(* ================================================================ *)
 
 type pworker = {
   wid : int;
@@ -381,11 +244,14 @@ let ewma_lo = 0.25
 
 (* Spin-then-block: BUSYWAIT rounds before parking (the latency/power
    knob of the paper's Table II).  Spinning only pays when another core
-   can produce work meanwhile, so the base budget is 0 on a 1-core
-   host; [ULP_SPIN_BUDGET] pins both base and ceiling for benching. *)
+   can produce work meanwhile, so the base budget is 0 on a 1-core host
+   and for a lone worker (its producers -- executors, reactor shards --
+   are normally threads of its own domain, which cannot run while it
+   spins holding the domain lock); [ULP_SPIN_BUDGET] pins both base and
+   ceiling for benching. *)
 let make_tune ~domains =
   let host_cores = Domain.recommended_domain_count () in
-  let default_spin = if host_cores > 1 then 256 else 0 in
+  let default_spin = if host_cores > 1 && domains > 1 then 256 else 0 in
   let pinned =
     match Sys.getenv_opt "ULP_SPIN_BUDGET" with
     | Some s -> (
@@ -552,26 +418,34 @@ let push_foreign ps thunk (b : Wake.batch option) =
   | None -> wake_some ps ~foreign:true
   | Some b -> Wake.note b ~key:(ps.ps_uid, -1) (fun () -> wake_some ps ~foreign:true)
 
-(* Make a runnable continuation available: onto the local deque when
-   called from a worker of this scheduler, otherwise (executor threads,
-   foreign domains) onto the MPSC injection channel.  Either way one
+(* A worker's own spawns and resumes: onto its stealable deque, waking
+   one parked peer to come and take it -- or, for a lone worker, which
+   has no thief, onto its private overflow FIFO, which keeps spawn and
+   wake order (the owner's LIFO pop would reverse it) and needs no
+   wake-up: the owner drains it itself. *)
+let push_local ps w thunk =
+  if Array.length ps.workers = 1 then Queue.push thunk w.overflow
+  else begin
+    Atomic_deque.push w.deque thunk;
+    wake_one ps
+  end
+
+(* Make a runnable continuation available: locally when called from a
+   worker of this scheduler, otherwise (executor threads, foreign
+   domains) onto the MPSC injection channel.  Either way at most one
    parked worker -- not all of them -- is woken. *)
 let pschedule ps thunk =
   match worker_ctx () with
-  | Some c when c.ps == ps ->
-      Atomic_deque.push c.w.deque thunk;
-      wake_one ps
+  | Some c when c.ps == ps -> push_local ps c.w thunk
   | _ -> push_foreign ps thunk None
 
-(* Routed resume for parked fibers: a worker of this scheduler takes
-   its local deque (the classic path); any other thread honours the
-   [worker] hint -- the reactor passing the fiber's home worker --
-   falling back to the global injection channel. *)
+(* Routed resume for parked fibers: a worker of this scheduler pushes
+   locally (the classic path); any other thread honours the [worker]
+   hint -- the reactor passing the fiber's home worker -- falling back
+   to the global injection channel. *)
 let presume ps thunk worker (b : Wake.batch option) =
   match worker_ctx () with
-  | Some c when c.ps == ps && b = None ->
-      Atomic_deque.push c.w.deque thunk;
-      wake_one ps
+  | Some c when c.ps == ps && b = None -> push_local ps c.w thunk
   | _ -> (
       match worker with
       | Some wid when wid >= 0 && wid < Array.length ps.workers ->
@@ -1029,33 +903,6 @@ let snapshot_sched ps =
 
 (* ---------- public API ---------- *)
 
-(* The ambient scheduler of the calling [run], stored per OS thread
-   (the scheduler loop runs on the thread that called [run]). *)
-let current_sched : scheduler option ref = ref None
-
-let scheduler () =
-  match !current_sched with Some s -> s | None -> raise Not_in_scheduler
-
-(* Run [main] plus everything it spawns to completion. *)
-let run main =
-  let sched = make_scheduler () in
-  let saved = !current_sched in
-  current_sched := Some sched;
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter Executor.shutdown sched.executors;
-      current_sched := saved)
-    (fun () ->
-      let fb = new_fiber sched in
-      Queue.push (fun () -> exec sched fb (fun () -> handle sched fb main)) sched.ready;
-      run_loop sched)
-
-type par_stats = {
-  par_domains : int;
-  par_steals : int;
-  par_sched : Sched_stats.t;
-}
-
 (* Run [main] plus everything it spawns to completion on [domains]
    domains (the calling domain is worker 0). *)
 let run_parallel ?domains ?on_stats main =
@@ -1065,9 +912,11 @@ let run_parallel ?domains ?on_stats main =
     | None -> Domain.recommended_domain_count ()
   in
   if domains < 1 then invalid_arg "Fiber.run_parallel: domains must be >= 1";
-  (match worker_ctx () with
-  | Some _ -> invalid_arg "Fiber.run_parallel: already inside run_parallel"
-  | None -> ());
+  (* One run per domain: every thread of a domain shares [pctx_key], so
+     a second run here -- nested, or on a thread such as an executor --
+     would overwrite the running worker's context. *)
+  if Option.is_some (Domain.DLS.get pctx_key) then
+    invalid_arg "Fiber.run_parallel: a run is already active on this domain";
   let ps = make_psched ~domains in
   (* Launch a worker's domain exactly once.  Holding [done_mutex]
      across the spawn keeps the [n_running] increment, the spawn and
@@ -1118,19 +967,14 @@ let run_parallel ?domains ?on_stats main =
   Mutex.unlock ps.pexec_mutex;
   List.iter Executor.shutdown executors;
   List.iter Domain.join helpers;
-  (match on_stats with
-  | Some f ->
-      let sched = snapshot_sched ps in
-      f
-        {
-          par_domains = domains;
-          par_steals = sched.Sched_stats.steals;
-          par_sched = sched;
-        }
-  | None -> ());
+  Option.iter (fun f -> f (snapshot_sched ps)) on_stats;
   match Atomic.get ps.failure with
   | Some (exn, bt) -> Printexc.raise_with_backtrace exn bt
   | None -> ()
+
+(* The deterministic one-worker case: no thief, no spinning, spawns and
+   wake-ups in FIFO order on the calling domain. *)
+let run main = run_parallel ~domains:1 main
 
 let spawn body = Effect.perform (Spawn body)
 let spawn_on ~worker body = Effect.perform (Spawn_on (worker, body))
@@ -1166,7 +1010,7 @@ let join fb =
 let live () =
   match worker_ctx () with
   | Some c -> Atomic.get c.ps.plive
-  | None -> (scheduler ()).live
+  | None -> raise Not_in_scheduler
 
 let worker_index () =
   match worker_ctx () with Some c -> Some c.w.wid | None -> None
@@ -1176,14 +1020,13 @@ let num_workers () =
   | Some c -> Some (Array.length c.ps.workers)
   | None -> None
 
-(* Mid-run racy snapshot of the ambient parallel engine's telemetry
+(* Mid-run racy snapshot of the ambient run's telemetry
    (each counter is monotonic; cross-counter ratios are approximate
    while workers run). *)
 let sched_stats () =
   match worker_ctx () with Some c -> Some (snapshot_sched c.ps) | None -> None
 
-(* Track an executor (original KC) for shutdown when the run ends;
-   works under both engines. *)
+(* Track an executor (original KC) for shutdown when the run ends. *)
 let register_executor e =
   match worker_ctx () with
   | Some c ->
@@ -1191,7 +1034,4 @@ let register_executor e =
       Mutex.lock c.ps.pexec_mutex;
       c.ps.pexecutors <- e :: c.ps.pexecutors;
       Mutex.unlock c.ps.pexec_mutex
-  | None -> (
-      match !current_sched with
-      | Some s -> s.executors <- e :: s.executors
-      | None -> raise Not_in_scheduler)
+  | None -> raise Not_in_scheduler

@@ -1,31 +1,29 @@
 (** A real cooperative fiber runtime on OCaml effect handlers
     (substrates S2 and S3 of DESIGN.md).
 
-    Two engines share one fiber abstraction:
+    One engine, {!run_parallel}: the paper's Section VII M:N extension
+    on OCaml 5 domains — per-domain Chase-Lev deques ({!Atomic_deque},
+    LIFO owner pop / FIFO randomized steal-half batches) plus a private
+    overflow FIFO per worker for its own yields, a lock-free MPSC
+    injection channel reserved for cross-thread wake-ups (the executors
+    of {!Blt_rt}, reactor shards), lock-free fiber completion
+    ({!Completion}), and an elastic, self-measuring spin-then-park idle
+    policy: parked workers wait on a Treiber idle stack so new work
+    wakes exactly one of them (the paper's Table II idle-KC policies,
+    without the thundering herd), per-run spin and steal budgets adapt
+    to the measured steal-failure rate, and when [domains] exceeds the
+    host's cores the excess workers collapse into deep park (excluded
+    from victim probes and routine wakes, re-enlisted on injection
+    pressure) so the pool converges to roughly one active worker per
+    core instead of thrashing.  Only runnable continuations migrate
+    between domains; a fiber's blocking jobs still route to its home
+    executor, preserving system-call consistency under migration.
+    [ULP_SPIN_BUDGET] (an integer, read per run) pins both the base and
+    ceiling of the spin budget for benching.
 
-    - {!run}: user contexts are one-shot continuations scheduled by the
-      OS thread that called it; a thread-safe injection queue lets other
-      OS threads (the executors of {!Blt_rt}) wake suspended fibers.
-
-    - {!run_parallel}: the paper's Section VII M:N extension on OCaml 5
-      domains — per-domain Chase-Lev deques ({!Atomic_deque}, LIFO owner
-      pop / FIFO randomized steal-half batches) plus a private overflow
-      FIFO per worker for its own yields, a lock-free MPSC injection
-      channel reserved for cross-thread wake-ups, lock-free fiber
-      completion ({!Completion}), and an elastic, self-measuring
-      spin-then-park idle policy: parked workers wait on a Treiber idle
-      stack so new work wakes exactly one of them (the paper's Table II
-      idle-KC policies, without the thundering herd), per-run spin and
-      steal budgets adapt to the measured steal-failure rate, and when
-      [domains] exceeds the host's cores the excess workers collapse
-      into deep park (excluded from victim probes and routine wakes,
-      re-enlisted on injection pressure) so the pool converges to
-      roughly one active worker per core instead of thrashing.  Only
-      runnable continuations migrate between domains; a fiber's
-      blocking jobs still route to its home executor, preserving
-      system-call consistency under migration.  [ULP_SPIN_BUDGET] (an
-      integer, read per run) pins both the base and ceiling of the spin
-      budget for benching. *)
+    {!run} is the deterministic one-worker case: the calling domain is
+    the only worker, spawns and wake-ups run in FIFO order, and it
+    parks without spinning. *)
 
 type fiber = {
   fid : int;
@@ -36,22 +34,16 @@ type fiber = {
       (** lazily-created original KC ({!Blt_rt}) *)
 }
 
-type scheduler = {
-  ready : (unit -> unit) Queue.t;
-  inject_mutex : Mutex.t;
-  inject_cond : Condition.t;
-  injected : (unit -> unit) Queue.t;
-  mutable live : int;
-  mutable next_fid : int;
-  mutable current : fiber option;
-  mutable executors : Executor.t list;
-}
-
 exception Not_in_scheduler
 
 val run : (unit -> unit) -> unit
-(** Run [main] plus everything it spawns to completion on the calling
-    OS thread; shuts the executors down on exit. *)
+(** [run main] is [run_parallel ~domains:1 main]: [main] plus everything
+    it spawns runs to completion on the calling domain, the one worker.
+    With no thief, that worker's spawns and wake-ups resume in FIFO
+    order, so a run whose only cross-thread wake-ups are its own
+    executors' replies interleaves deterministically.
+    @raise Invalid_argument when the calling domain is already running
+    a run (nested, or from another thread of that domain). *)
 
 (** Scheduler telemetry: cheap monotonic per-worker counters aggregated
     lock-free.  A snapshot taken mid-run ({!sched_stats}) is racy but
@@ -84,43 +76,33 @@ module Sched_stats : sig
       converged to, as opposed to the [domains] it was asked for. *)
 end
 
-type par_stats = {
-  par_domains : int;  (** worker domains of the finished run *)
-  par_steals : int;  (** successful deque steals across all workers *)
-  par_sched : Sched_stats.t;  (** full scheduler telemetry of the run *)
-}
-
 val run_parallel :
-  ?domains:int -> ?on_stats:(par_stats -> unit) -> (unit -> unit) -> unit
+  ?domains:int -> ?on_stats:(Sched_stats.t -> unit) -> (unit -> unit) -> unit
 (** Run [main] plus everything it spawns to completion on [domains]
     worker domains (default [Domain.recommended_domain_count ()]; the
     calling domain is worker 0).  An explicit [domains] above the
     host's core count is honored — all domains are spawned — but the
     adaptive idle policy may collapse the excess into deep park.
     Executors are shut down on exit; an uncaught exception in any fiber
-    aborts the run and re-raises here.  [on_stats] receives scheduler
-    counters after completion.
-    @raise Invalid_argument for [domains < 1] or when nested. *)
+    aborts the run and re-raises here.  [on_stats] receives the exact
+    scheduler counters after completion.
+    @raise Invalid_argument for [domains < 1] or when the calling domain
+    is already running a run (nested, or from another thread of that
+    domain). *)
 
 val sched_stats : unit -> Sched_stats.t option
-(** Under {!run_parallel}, a racy-but-monotonic mid-run snapshot of the
-    ambient engine's telemetry; [None] elsewhere (same thread-identity
-    rule as {!worker_index}). *)
-
-val scheduler : unit -> scheduler
-(** The ambient single-threaded scheduler.
-    @raise Not_in_scheduler outside {!run} (including under
-    {!run_parallel}, which has no [scheduler]). *)
+(** Inside a run, a racy-but-monotonic mid-run snapshot of its
+    telemetry; [None] elsewhere (same thread-identity rule as
+    {!worker_index}). *)
 
 val spawn : (unit -> unit) -> fiber
 
 val spawn_on : worker:int -> (unit -> unit) -> fiber
-(** Spawn with placement: under {!run_parallel} the child starts on
-    worker [worker mod domains] (delivered to its private inbox — the
-    accept distributor of [lib/net] uses this to spread connection
-    handlers round-robin).  Placement is a start hint, not a pin: the
-    child may later migrate by stealing.  Under {!run} this is
-    {!spawn}. *)
+(** Spawn with placement: the child starts on worker
+    [worker mod domains] (delivered to its private inbox — the accept
+    distributor of [lib/net] uses this to spread connection handlers
+    round-robin).  Placement is a start hint, not a pin: the child may
+    later migrate by stealing.  Under {!run} every index is worker 0. *)
 
 val yield : unit -> unit
 val self : unit -> fiber
@@ -153,7 +135,7 @@ module Wake : sig
 
   val fire_to : ?worker:int -> ?batch:batch -> token -> bool
   (** Like {!fire}, with routing: [worker] (when the token belongs to a
-      {!run_parallel} engine and the index is in range) delivers the
+      scheduler with that worker and the index is in range) delivers the
       continuation to that worker's private inbox — the targeted-wake
       fast path the reactor uses to resume a fiber on the domain that
       parked it — instead of the global injection channel.  Out-of-range
@@ -182,22 +164,22 @@ val suspend_token : (Wake.token -> unit) -> unit
 val join : fiber -> unit
 
 val live : unit -> int
-(** Fibers not yet [`Done] under the ambient engine. *)
+(** Fibers not yet [`Done] in the ambient run.
+    @raise Not_in_scheduler outside any run. *)
 
 val worker_index : unit -> int option
-(** Under {!run_parallel}, the index of the worker domain currently
-    executing the caller ([Some 0 .. domains-1]); [None] under {!run}
-    or outside any engine — including on OS threads merely sharing a
+(** Inside a run, the index of the worker domain currently executing
+    the caller ([Some 0 .. domains-1]; always [Some 0] under {!run});
+    [None] outside any run — including on OS threads merely sharing a
     worker's domain (a reactor shard, an executor): the context is
     keyed by thread identity, not just [Domain.DLS].  A fiber that
     observes two different indices across a suspension has migrated. *)
 
 val num_workers : unit -> int option
-(** Under {!run_parallel}, the worker-domain count of the ambient run;
-    [None] elsewhere (same thread-identity rule as
-    {!worker_index}). *)
+(** Inside a run, its worker-domain count; [None] elsewhere (same
+    thread-identity rule as {!worker_index}). *)
 
 val register_executor : Executor.t -> unit
 (** Track an executor (original KC) for shutdown when the ambient run
-    ends; works under both engines.
-    @raise Not_in_scheduler outside any engine. *)
+    ends.
+    @raise Not_in_scheduler outside any run. *)

@@ -98,8 +98,7 @@ let send sh cmd =
 (* The shard a watch from this calling context lands on: worker w of
    the parallel runtime maps to shard [w mod shards] (with shards =
    domains this is the one-reactor-per-domain topology); callers with
-   no affinity -- the single-threaded engine, foreign threads -- are
-   spread round-robin. *)
+   no worker index -- foreign threads -- are spread round-robin. *)
 let shard_for t =
   let n = Array.length t.shards in
   if n = 1 then t.shards.(0)

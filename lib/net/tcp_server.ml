@@ -21,12 +21,15 @@
    is born on the worker that will serve it.
 
    One fiber per connection, bounded by [max_conns] with real
-   backpressure: at capacity an accept loop parks on its own
-   [Readiness] gate until a connection retires -- the kernel backlog
-   then throttles clients.  (Per-loop gates because a Readiness cell
-   holds exactly one waiter.)  [stop] drains gracefully: stop
-   accepting, wake the accept loops, wait for active connections to
-   retire.
+   backpressure: a connection is admitted after [accept] by a CAS on
+   the active count, so loops on different shards can never admit past
+   the cap together.  At capacity an accept loop holds the connection
+   it just accepted -- not yet admitted, so not counted as active -- on
+   its own [Readiness] gate until a connection retires; the kernel
+   backlog then throttles clients.  (Per-loop gates because a Readiness
+   cell holds exactly one waiter.)  [stop] drains gracefully: stop
+   accepting, wake the accept loops (a held connection is closed),
+   wait for active connections to retire.
 
    Counters are atomics (any thread may read [stats] while workers
    serve); the latency hook keeps a bounded reservoir so [percentile]
@@ -269,31 +272,48 @@ let spawn_handler t conn_fd peer =
       ignore (Fiber.spawn_on ~worker:(Atomic.fetch_and_add t.next_worker 1 mod n) body)
   | _ -> ignore (Fiber.spawn body)
 
+(* Take a connection slot iff one is free: the check and the increment
+   are one CAS, so concurrent accept loops cannot both pass the check
+   and then overshoot [max_conns] with their increments. *)
+let rec try_admit t =
+  let n = Atomic.get t.active in
+  if n >= t.max_conns then false
+  else if Atomic.compare_and_set t.active n (n + 1) then begin
+    bump_max t.max_active (n + 1);
+    true
+  end
+  else try_admit t
+
 let accept_loop t i =
   let listen_fd = t.listen_fds.(i mod Array.length t.listen_fds) in
   let gate = t.gates.(i) in
-  let rec go () =
-    if not (Atomic.get t.stopping) then begin
-      (* backpressure: hold accepts while at capacity *)
-      if Atomic.get t.active >= t.max_conns then begin
-        Atomic.incr t.accept_retries;
-        if Atomic.get t.active >= t.max_conns && not (Atomic.get t.stopping)
-        then gate_wait gate;
-        go ()
-      end
-      else
-        match Fiber_io.accept t.reactor listen_fd with
-        | conn_fd, peer ->
-            Atomic.incr t.accepted;
-            let n = Atomic.fetch_and_add t.active 1 + 1 in
-            bump_max t.max_active n;
-            spawn_handler t conn_fd peer;
-            go ()
-        | exception Unix.Unix_error ((Unix.EBADF | Unix.EINVAL), _, _) ->
-            (* listener shut down under us: stop requested *)
-            ()
-        | exception Reactor.Reactor_stopped -> ()
+  (* backpressure: hold an accepted connection while at capacity; a
+     retiring connection (or [stop]) posts the gate *)
+  let rec admit conn_fd peer =
+    if try_admit t then begin
+      spawn_handler t conn_fd peer;
+      true
     end
+    else if Atomic.get t.stopping then begin
+      (try Unix.close conn_fd with Unix.Unix_error _ -> ());
+      false
+    end
+    else begin
+      Atomic.incr t.accept_retries;
+      gate_wait gate;
+      admit conn_fd peer
+    end
+  in
+  let rec go () =
+    if not (Atomic.get t.stopping) then
+      match Fiber_io.accept t.reactor listen_fd with
+      | conn_fd, peer ->
+          Atomic.incr t.accepted;
+          if admit conn_fd peer then go ()
+      | exception Unix.Unix_error ((Unix.EBADF | Unix.EINVAL), _, _) ->
+          (* listener shut down under us: stop requested *)
+          ()
+      | exception Reactor.Reactor_stopped -> ()
   in
   go ()
 

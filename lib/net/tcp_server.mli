@@ -4,8 +4,9 @@
     shared socket otherwise — spawning one fiber per connection, spread
     across the worker domains by a lock-free round-robin distributor
     ({!Fiber_rt.Fiber.spawn_on}).  Bounded concurrency with real
-    backpressure (at [max_conns] the accept loops park until a
-    connection retires, letting the kernel backlog throttle clients),
+    backpressure (a connection is admitted by CAS after [accept]; at
+    [max_conns] each accept loop holds its one unadmitted connection
+    until another retires, letting the kernel backlog throttle clients),
     graceful drain on {!stop}, and built-in counters plus a
     bounded-reservoir latency hook.
 

@@ -22,7 +22,8 @@
    Lifecycle protocol (all lock-free, all exercised by lib/check and
    the qcheck models):
 
-     spawn:   vpid = fetch_and_add; table.add; parent.children CAS-cons;
+     spawn:   vpid = fetch_and_add; table.add; parent.children CAS-cons
+              (pruning reaped entries once the list has doubled);
               fiber runs body inside a fresh Scope
      exit:    close_all fds; re-parent live children to the root ULP
               (adopted := true); Wait_cell.finish publishes the status
@@ -69,8 +70,14 @@ type t = {
   waitc : status Wait_cell.t;
   pending : int Atomic.t; (* signal bitmask, bit (1 lsl signum) *)
   handlers : (int -> unit) option Atomic.t array;
-  children : t list Atomic.t; (* CAS-cons; dead entries filtered lazily *)
+  children : kids Atomic.t; (* CAS-replaced; reaped entries pruned *)
 }
+
+(* A parent's child list, its length, and the length at which
+   [add_child] next drops the claimed (reaped) entries: twice the
+   entries it kept last time, so each prune's O(len) filter is paid for
+   by the adds since the previous one -- amortised O(1) per spawn. *)
+and kids = { ks : t list; len : int; prune_at : int }
 
 and world = {
   table : t Proc_table.t;
@@ -78,6 +85,9 @@ and world = {
   fd_capacity : int;
   mutable root_ulp : t option; (* set once by boot, before publication *)
 }
+
+let min_prune = 16
+let no_kids = { ks = []; len = 0; prune_at = min_prune }
 
 let make_proc w ~vpid ~parent_vpid ~fd_capacity =
   {
@@ -91,7 +101,7 @@ let make_proc w ~vpid ~parent_vpid ~fd_capacity =
     waitc = Wait_cell.create ();
     pending = Atomic.make 0;
     handlers = Array.init (max_signal + 1) (fun _ -> Atomic.make None);
-    children = Atomic.make [];
+    children = Atomic.make no_kids;
   }
 
 let boot ?(fd_capacity = 256) () =
@@ -172,9 +182,20 @@ let kill w ~vpid signum =
 
 (* ---------- the child/zombie bookkeeping ---------- *)
 
+(* Without the prune a long-lived parent -- the root ULP of a server,
+   one child per connection -- would keep every child it ever reaped,
+   each with its fd table, handler array and scope. *)
 let rec add_child parent c =
   let cur = Atomic.get parent.children in
-  if not (Atomic.compare_and_set parent.children cur (c :: cur)) then
+  let next =
+    if cur.len < cur.prune_at then
+      { cur with ks = c :: cur.ks; len = cur.len + 1 }
+    else
+      let ks = c :: List.filter (fun k -> not (Atomic.get k.claimed)) cur.ks in
+      let len = List.length ks in
+      { ks; len; prune_at = max min_prune (2 * len) }
+  in
+  if not (Atomic.compare_and_set parent.children cur next) then
     add_child parent c
 
 (* Claim the zombie: exactly one reaper drops it from the table. *)
@@ -188,12 +209,12 @@ let try_reap c =
 let find_child parent vpid =
   List.find_opt
     (fun c -> c.vpid = vpid && not (Atomic.get c.claimed))
-    (Atomic.get parent.children)
+    (Atomic.get parent.children).ks
 
 let children parent =
   List.filter_map
     (fun c -> if Atomic.get c.claimed then None else Some c.vpid)
-    (Atomic.get parent.children)
+    (Atomic.get parent.children).ks
 
 let do_exit u st =
   ignore (Fd_core.close_all u.fds);
@@ -210,7 +231,7 @@ let do_exit u st =
         add_child rt c;
         if Wait_cell.is_done c.waitc then ignore (try_reap c)
       end)
-    (Atomic.get u.children);
+    (Atomic.get u.children).ks;
   ignore (Wait_cell.finish u.waitc st);
   if Atomic.get u.adopted then ignore (try_reap u)
 

@@ -39,14 +39,9 @@ let spin work =
   ignore (Sys.opaque_identity !acc)
 
 let with_stats ~name ~domains ~items f =
-  let steals = ref 0 in
   let sched = ref None in
   let t0 = now () in
-  Fiber.run_parallel ~domains
-    ~on_stats:(fun s ->
-      steals := s.Fiber.par_steals;
-      sched := Some s.Fiber.par_sched)
-    f;
+  Fiber.run_parallel ~domains ~on_stats:(fun s -> sched := Some s) f;
   let elapsed = now () -. t0 in
   {
     name;
@@ -54,7 +49,8 @@ let with_stats ~name ~domains ~items f =
     items;
     elapsed;
     throughput = (if elapsed > 0.0 then float_of_int items /. elapsed else 0.0);
-    steals = !steals;
+    steals =
+      (match !sched with Some s -> s.Fiber.Sched_stats.steals | None -> 0);
     sched = !sched;
   }
 

@@ -356,9 +356,24 @@ let test_fiber_ids_unique () =
       Fiber.join b)
 
 let test_run_outside_scheduler_raises () =
-  match Fiber.scheduler () with
+  match Fiber.live () with
   | exception Fiber.Not_in_scheduler -> ()
-  | _ -> Alcotest.fail "scheduler available outside run"
+  | _ -> Alcotest.fail "live count available outside run"
+
+let test_nested_run_raises () =
+  let rejected () =
+    match Fiber.run ignore with
+    | exception Invalid_argument _ -> true
+    | () -> false
+  in
+  Fiber.run (fun () ->
+      Alcotest.(check bool) "run nested inside run" true (rejected ());
+      (* a thread of the running domain (an executor, say) shares its
+         worker context, so it may not start a run either *)
+      let on_thread = ref false in
+      Thread.join (Thread.create (fun () -> on_thread := rejected ()) ());
+      Alcotest.(check bool) "run from a thread of a running domain" true
+        !on_thread)
 
 (* ---------- BLT coupling on real threads ---------- *)
 
@@ -559,7 +574,7 @@ let test_par_worker_index () =
       | None -> Alcotest.fail "no worker index under run_parallel");
   Fiber.run (fun () ->
       Alcotest.(check (option int))
-        "no worker index under run" None (Fiber.worker_index ()))
+        "run is worker 0 of one" (Some 0) (Fiber.worker_index ()))
 
 (* spawn_on delivers the child to the target worker's private inbox,
    which only that worker drains: the child's FIRST step runs on the
@@ -831,7 +846,7 @@ let test_par_elastic_collapse_stress () =
   let mid_snapshot_ok = ref false in
   let t0 = Unix.gettimeofday () in
   Fiber.run_parallel ~domains
-    ~on_stats:(fun s -> stats := Some s.Fiber.par_sched)
+    ~on_stats:(fun s -> stats := Some s)
     (fun () ->
       Array.iter
         (fun burst ->
@@ -1269,6 +1284,7 @@ let () =
           Alcotest.test_case "unique ids" `Quick test_fiber_ids_unique;
           Alcotest.test_case "no ambient scheduler" `Quick
             test_run_outside_scheduler_raises;
+          Alcotest.test_case "nested run raises" `Quick test_nested_run_raises;
         ] );
       ( "coupling",
         [

@@ -618,7 +618,7 @@ let prop_barrier_counts_generations n =
 
 (* The reference model is the waiter queue itself: [signal] wakes the
    oldest parked fiber, [broadcast] wakes everyone oldest-first.  Under
-   the deterministic single-threaded engine a spawned waiter runs to
+   the deterministic one-worker [Fiber.run] a spawned waiter runs to
    its park on the next yield, so registration order is the spawn
    order and the recorded wake order must equal the model's pops.
    (Relies on the no-spurious-wakeup guarantee: each waiter waits

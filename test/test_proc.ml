@@ -305,6 +305,27 @@ let test_orphan_reparents_to_root () =
       Alcotest.(check bool) "orphan exited cleanly" true
         (Proc.status_of leaf = Some (Proc.Exited 0)))
 
+(* A long-lived parent -- a server's root ULP, one child per
+   connection -- must not retain the children it has reaped: its
+   reachable heap stays flat across 10k spawn/waitpid cycles. *)
+let test_reaped_children_not_retained () =
+  Fiber.run (fun () ->
+      let w = Proc.boot () in
+      let u0 = Proc.root w in
+      let cycles n =
+        for _ = 1 to n do
+          let c = Proc.spawn ~parent:u0 (fun _ -> ()) in
+          ignore (wait_ok ~parent:u0 ~vpid:(Proc.getpid c))
+        done
+      in
+      cycles 100;
+      let before = Obj.reachable_words (Obj.repr u0) in
+      cycles 10_000;
+      let after = Obj.reachable_words (Obj.repr u0) in
+      if after > 2 * before then
+        Alcotest.failf "root retains reaped children: %d -> %d words" before
+          after)
+
 (* ---------- signals ---------- *)
 
 let looper u =
@@ -512,6 +533,8 @@ let () =
             test_zombie_holds_status_until_reaped;
           Alcotest.test_case "orphans re-parent to root and self-reap"
             `Quick test_orphan_reparents_to_root;
+          Alcotest.test_case "reaped children are not retained" `Quick
+            test_reaped_children_not_retained;
         ] );
       ( "signals",
         [
