@@ -746,12 +746,12 @@ let run_real () =
    runs [warmup] discarded rounds plus [reps] measured repetitions; the
    table and the JSON report median and p99 wall-clock per config, not
    a single sample.  Results go to BENCH_parallel.json (schema
-   ulp-pip/parallel-bench/v4 = v3 plus per-run scheduler telemetry --
-   steal_fail_rate, parks, wakes, active_workers_p50 -- and speedups
-   for EVERY workload, documented in README.md) so later PRs can diff
-   the perf trajectory with --diff (which now gates on speedup
-   regressions across the full sweep).  Speedup beyond 1.0 needs real
-   cores: host_cores is recorded, and the "oversubscribed" flag is now
+   ulp-pip/bench/v5, suite "parallel", documented in README.md): one
+   row per (workload, domains) with the scheduler telemetry --
+   steal_fail_rate, parks, wakes, active_workers_p50 -- so later PRs
+   can diff the perf trajectory with --diff, which gates on speedup
+   regressions across the full sweep.  Speedup beyond 1.0 needs real
+   cores: host_cores is recorded, and the "oversubscribed" flag is
    MEASURED -- true iff the run's median active-worker count exceeded
    the host's cores -- so a domains=4 run the elastic scheduler
    collapsed to one active worker is honestly not oversubscribed: it
@@ -759,31 +759,40 @@ let run_real () =
 
 module Stats = Sim.Stats
 module Json = Report.Json
+module Bench = Report.Bench
 module Ss = Fiber_rt.Fiber.Sched_stats
 
 let parallel_domain_counts = [ 1; 2; 4 ]
 let host_cores () = Domain.recommended_domain_count ()
 let bench_file = "BENCH_parallel.json"
+let int n = Json.Num (float_of_int n)
+let tel r key = Option.value ~default:0.0 (Bench.num r.Bench.telemetry key)
 
-type pstat = {
-  ps_name : string;
-  ps_domains : int;
-  ps_items : int;
-  ps_reps : int;
-  ps_median_s : float;
-  ps_p99_s : float; (* = max for small rep counts; still honest *)
-  ps_median_tput : float;
-  ps_steals : int; (* median across reps *)
-  (* scheduler telemetry, medians across reps *)
-  ps_steal_fail_rate : float;
-  ps_parks : int;
-  ps_deep_parks : int;
-  ps_wakes : int;
-  ps_spins : int;
-  ps_inj_drains : int;
-  ps_active_p50 : int; (* median active-worker count the pool sustained *)
-  ps_oversub : bool; (* measured: active_p50 > host_cores *)
-}
+let tel_column key =
+  ( key,
+    fun r ->
+      Option.fold ~none:"-" ~some:Bench.show
+        (List.assoc_opt key r.Bench.telemetry) )
+
+let param r key =
+  int_of_float (Option.value ~default:0.0 (Bench.num r.Bench.params key))
+
+let domains r = param r "domains"
+
+(* scheduler counters, medians across reps *)
+let par_counters =
+  Ss.
+    [
+      ("parks", fun s -> s.parks);
+      ("deep_parks", fun s -> s.deep_parks);
+      ("wakes", fun s -> s.wakes);
+      ("spins", fun s -> s.spins);
+      ("inj_drains", fun s -> s.inj_drains);
+    ]
+
+let par_telemetry =
+  "oversubscribed" :: "steals" :: "steal_fail_rate" :: "active_workers_p50"
+  :: List.map fst par_counters
 
 let measure ~warmup ~reps run =
   for _ = 1 to warmup do
@@ -795,200 +804,66 @@ let measure ~warmup ~reps run =
     List.iter (fun r -> Stats.add s (f r)) rs;
     s
   in
-  let elapsed = stat_of (fun r -> r.Par_workload.elapsed) in
-  let tput = stat_of (fun r -> r.Par_workload.throughput) in
-  let steals = stat_of (fun r -> float_of_int r.Par_workload.steals) in
-  let sched_of f =
-    stat_of (fun r ->
-        match r.Par_workload.sched with Some s -> f s | None -> 0.0)
+  let med f = Stats.median (stat_of f) in
+  let sched f =
+    med (fun r -> match r.Par_workload.sched with Some s -> f s | None -> 0.0)
   in
-  let imed st = int_of_float (Stats.median st +. 0.5) in
-  let fail_rate = sched_of Ss.steal_fail_rate in
-  let parks = sched_of (fun s -> float_of_int s.Ss.parks) in
-  let deep_parks = sched_of (fun s -> float_of_int s.Ss.deep_parks) in
-  let wakes = sched_of (fun s -> float_of_int s.Ss.wakes) in
-  let spins = sched_of (fun s -> float_of_int s.Ss.spins) in
-  let inj_drains = sched_of (fun s -> float_of_int s.Ss.inj_drains) in
-  let active_p50 = sched_of (fun s -> float_of_int (Ss.active_p50 s)) in
+  let imed f = int_of_float (f +. 0.5) in
+  let elapsed = stat_of (fun r -> r.Par_workload.elapsed) in
   let r0 = List.hd rs in
-  let ps_active_p50 = max 1 (imed active_p50) in
+  (* the median active-worker count the pool sustained *)
+  let active = max 1 (imed (sched (fun s -> float_of_int (Ss.active_p50 s)))) in
   {
-    ps_name = r0.Par_workload.name;
-    ps_domains = r0.Par_workload.domains;
-    ps_items = r0.Par_workload.items;
-    ps_reps = reps;
-    ps_median_s = Stats.median elapsed;
-    ps_p99_s = Stats.percentile elapsed 99.0;
-    ps_median_tput = Stats.median tput;
-    ps_steals = imed steals;
-    ps_steal_fail_rate = Stats.median fail_rate;
-    ps_parks = imed parks;
-    ps_deep_parks = imed deep_parks;
-    ps_wakes = imed wakes;
-    ps_spins = imed spins;
-    ps_inj_drains = imed inj_drains;
-    ps_active_p50;
-    ps_oversub = ps_active_p50 > host_cores ();
+    Bench.name = r0.Par_workload.name;
+    params = [ ("domains", int r0.Par_workload.domains) ];
+    items = r0.Par_workload.items;
+    median_s = Stats.median elapsed;
+    p99_s = Stats.percentile elapsed 99.0 (* = max for small rep counts *);
+    throughput_per_s = med (fun r -> r.Par_workload.throughput);
+    telemetry =
+      [
+        ("oversubscribed", Json.Bool (active > host_cores ()));
+        ( "steals",
+          int (imed (med (fun r -> float_of_int r.Par_workload.steals))) );
+        ("steal_fail_rate", Json.Num (sched Ss.steal_fail_rate));
+      ]
+      @ List.map
+          (fun (k, f) -> (k, int (imed (sched (fun s -> float_of_int (f s))))))
+          par_counters
+      @ [ ("active_workers_p50", int active) ];
   }
 
-let json_escape s =
-  String.concat ""
-    (List.map
-       (function
-         | '"' -> "\\\"" | '\\' -> "\\\\" | '\n' -> "\\n" | c -> String.make 1 c)
-       (List.init (String.length s) (String.get s)))
+(* Speedup over the same workload's domains=1 row of the same file --
+   derived, never stored. *)
+let speedup (f : Bench.file) r =
+  if domains r <= 1 then None
+  else
+    Option.map
+      (fun (base : Bench.row) ->
+        if r.median_s > 0.0 then base.median_s /. r.median_s else 0.0)
+      (Bench.peer f.rows r ("domains", int 1))
 
-let parallel_json ~quick ~warmup ~stats ~speedups =
-  let buf = Buffer.create 4096 in
-  let stat_obj p =
-    Printf.sprintf
-      "    {\"name\": \"%s\", \"domains\": %d, \"oversubscribed\": %b, \
-       \"items\": %d, \"reps\": %d, \"median_s\": %.9f, \"p99_s\": %.9f, \
-       \"median_throughput_per_s\": %.3f, \"steals\": %d, \
-       \"steal_fail_rate\": %.4f, \"parks\": %d, \"deep_parks\": %d, \
-       \"wakes\": %d, \"spins\": %d, \"inj_drains\": %d, \
-       \"active_workers_p50\": %d}"
-      (json_escape p.ps_name) p.ps_domains p.ps_oversub p.ps_items p.ps_reps
-      p.ps_median_s p.ps_p99_s p.ps_median_tput p.ps_steals
-      p.ps_steal_fail_rate p.ps_parks p.ps_deep_parks p.ps_wakes p.ps_spins
-      p.ps_inj_drains p.ps_active_p50
-  in
-  let speedup_obj (p, s) =
-    Printf.sprintf
-      "    {\"name\": \"%s\", \"domains\": %d, \"oversubscribed\": %b, \
-       \"speedup_vs_1\": %.4f}"
-      (json_escape p.ps_name) p.ps_domains p.ps_oversub s
-  in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"schema\": \"ulp-pip/parallel-bench/v4\",\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"host_cores\": %d,\n" (host_cores ()));
-  Buffer.add_string buf (Printf.sprintf "  \"quick\": %b,\n" quick);
-  Buffer.add_string buf (Printf.sprintf "  \"warmup\": %d,\n" warmup);
-  Buffer.add_string buf "  \"results\": [\n";
-  Buffer.add_string buf (String.concat ",\n" (List.map stat_obj stats));
-  Buffer.add_string buf "\n  ],\n  \"speedups\": [\n";
-  Buffer.add_string buf (String.concat ",\n" (List.map speedup_obj speedups));
-  Buffer.add_string buf "\n  ]\n}\n";
-  Buffer.contents buf
-
-(* Regression tables against a previous BENCH_parallel.json (v1 files
-   carry a single elapsed_s sample; v2+ carry the median).  The
-   wall-clock table is reporting only; the SPEEDUP table across the
-   full sweep gates — a workload whose speedup_vs_1 fell below
-   [speedup_gate_ratio] × its old value is returned as a regression
-   (the caller exits non-zero), except on a 1-core host where the gate
-   auto-relaxes to a warning: a shared 1-core CI runner measures its
-   neighbours as much as this code, but it still records the drop. *)
+(* --diff: the wall-clock table is reporting only; the SPEEDUP table
+   across the full sweep gates -- a workload whose speedup fell below
+   [speedup_gate_ratio] x its old value is a regression (exit 3),
+   except on a 1-core host where the gate auto-relaxes to a warning: a
+   shared 1-core CI runner measures its neighbours as much as this
+   code, but it still records the drop. *)
 let speedup_gate_ratio = 0.8
 
-let print_diff ~old_file ~speedups stats =
-  match Json.parse_file old_file with
-  | Error msg ->
-      Printf.eprintf "--diff %s: %s\n" old_file msg;
-      exit 2
-  | Ok doc ->
-      let old_entries =
-        match Option.bind (Json.member "results" doc) Json.to_list with
-        | Some l ->
-            List.filter_map
-              (fun e ->
-                let num k = Option.bind (Json.member k e) Json.to_float in
-                match
-                  ( Option.bind (Json.member "name" e) Json.to_string,
-                    num "domains",
-                    (* v2 median_s, else the v1 single sample *)
-                    match num "median_s" with
-                    | Some _ as m -> m
-                    | None -> num "elapsed_s" )
-                with
-                | Some name, Some d, Some s -> Some ((name, int_of_float d), s)
-                | _ -> None)
-              l
-        | None -> []
-      in
-      let t =
-        Table.create
-          ~title:(Printf.sprintf "Regression vs %s (old/new; >1 = faster now)"
-                    old_file)
-          ~headers:[ "workload"; "domains"; "old [s]"; "new [s]"; "speedup" ]
-          ~aligns:
-            [ Table.Left; Table.Right; Table.Right; Table.Right; Table.Right ]
-          ()
-      in
-      List.iter
-        (fun p ->
-          match List.assoc_opt (p.ps_name, p.ps_domains) old_entries with
-          | None -> ()
-          | Some old_s ->
-              Table.add_row t
-                [
-                  p.ps_name;
-                  string_of_int p.ps_domains;
-                  sci old_s;
-                  sci p.ps_median_s;
-                  (if p.ps_median_s > 0.0 then
-                     Printf.sprintf "%.2fx" (old_s /. p.ps_median_s)
-                   else "-");
-                ])
-        stats;
-      Table.print t;
-      (* speedup_vs_1 regression sweep: every (workload, domains) the
-         old file also measured *)
-      let old_speedups =
-        match Option.bind (Json.member "speedups" doc) Json.to_list with
-        | Some l ->
-            List.filter_map
-              (fun e ->
-                let num k = Option.bind (Json.member k e) Json.to_float in
-                match
-                  ( Option.bind (Json.member "name" e) Json.to_string,
-                    num "domains",
-                    num "speedup_vs_1" )
-                with
-                | Some name, Some d, Some s -> Some ((name, int_of_float d), s)
-                | _ -> None)
-              l
-        | None -> []
-      in
-      let st =
-        Table.create
-          ~title:
-            (Printf.sprintf
-               "Speedup_vs_1 regression vs %s (ratio >= %.2f passes)" old_file
-               speedup_gate_ratio)
-          ~headers:[ "workload"; "domains"; "old"; "new"; "ratio"; "gate" ]
-          ~aligns:
-            [ Table.Left; Table.Right; Table.Right; Table.Right; Table.Right;
-              Table.Left ]
-          ()
-      in
-      let regressions = ref [] in
-      List.iter
-        (fun (p, s) ->
-          if p.ps_domains > 1 then
-            match List.assoc_opt (p.ps_name, p.ps_domains) old_speedups with
-            | None -> ()
-            | Some old_s ->
-                let ratio = if old_s > 0.0 then s /. old_s else Float.infinity in
-                let ok = ratio >= speedup_gate_ratio in
-                if not ok then
-                  regressions :=
-                    (p.ps_name, p.ps_domains, old_s, s) :: !regressions;
-                Table.add_row st
-                  [
-                    p.ps_name;
-                    string_of_int p.ps_domains;
-                    Printf.sprintf "%.2fx" old_s;
-                    Printf.sprintf "%.2fx" s;
-                    Printf.sprintf "%.2f" ratio;
-                    (if ok then "ok" else "REGRESSED");
-                  ])
-        speedups;
-      Table.print st;
-      List.rev !regressions
+(* the diff engine reads the old file before the run overwrites it:
+   the old file is usually this same path *)
+let read_old = function
+  | None -> None
+  | Some path -> (
+      match Bench.read path with
+      | Ok f -> Some f
+      | Error msg ->
+          Printf.eprintf "--diff %s\n" msg;
+          exit 2)
 
 let run_parallel_bench ~quick ~diff () =
+  let old = read_old diff in
   let fibers = if quick then 2_000 else 20_000 in
   let work = if quick then 250 else 1_000 in
   let depth = if quick then 9 else 12 (* 1023 / 8191 tree nodes *) in
@@ -1010,7 +885,7 @@ let run_parallel_bench ~quick ~diff () =
   let fd_writes = 50 in
   let warmup = 1 in
   let reps = if quick then 3 else 5 in
-  let stats =
+  let rows =
     List.concat_map
       (fun (mk : domains:int -> Par_workload.result) ->
         List.map
@@ -1048,83 +923,36 @@ let run_parallel_bench ~quick ~diff () =
           Proc_workload.fd_direct ~domains ~ulps ~writes:fd_writes);
       ]
   in
-  let t =
-    Table.create
-      ~title:
-        (Printf.sprintf
-           "Parallel fiber runtime (work stealing on OCaml domains; host has \
-            %d core%s; %d warmup + %d reps per config)"
-           (host_cores ())
-           (if host_cores () = 1 then "" else "s")
-           warmup reps)
-      ~headers:
-        [ "workload"; "domains"; "oversub"; "act p50"; "steal fail"; "parks";
-          "items"; "median [s]"; "items/s"; "steals" ]
-      ~aligns:
-        [ Table.Left; Table.Right; Table.Left; Table.Right; Table.Right;
-          Table.Right; Table.Right; Table.Right; Table.Right; Table.Right ]
-      ()
+  let file =
+    {
+      Bench.suite = "parallel";
+      host_cores = host_cores ();
+      quick;
+      facts = [ ("warmup", int warmup); ("reps", int reps) ];
+      rows;
+    }
   in
-  List.iter
-    (fun p ->
-      Table.add_row t
-        [
-          p.ps_name;
-          string_of_int p.ps_domains;
-          (if p.ps_oversub then "YES" else "-");
-          string_of_int p.ps_active_p50;
-          Printf.sprintf "%.2f" p.ps_steal_fail_rate;
-          string_of_int p.ps_parks;
-          string_of_int p.ps_items;
-          sci p.ps_median_s;
-          Printf.sprintf "%.0f" p.ps_median_tput;
-          string_of_int p.ps_steals;
+  Bench.print_rows
+    ~title:
+      (Printf.sprintf
+         "Parallel fiber runtime (work stealing on OCaml domains; host has \
+          %d core%s; %d warmup + %d reps per config)"
+         (host_cores ())
+         (if host_cores () = 1 then "" else "s")
+         warmup reps)
+    ~extra:
+      (List.map tel_column
+         [
+           "oversubscribed"; "active_workers_p50"; "steal_fail_rate"; "parks";
+           "steals";
+         ]
+      @ [
+          ( "speedup",
+            fun r ->
+              Option.fold ~none:"-" ~some:(Printf.sprintf "%.2fx")
+                (speedup file r) );
         ])
-    stats;
-  Table.print t;
-  (* speedup curves from the medians, for EVERY workload in the sweep:
-     under the elastic pool the non-scaling workloads are exactly where
-     oversubscription regressions used to hide *)
-  let workload_names =
-    List.fold_left
-      (fun acc p -> if List.mem p.ps_name acc then acc else p.ps_name :: acc)
-      [] stats
-    |> List.rev
-  in
-  let speedups =
-    List.concat_map
-      (fun wname ->
-        let of_workload = List.filter (fun p -> p.ps_name = wname) stats in
-        match List.find_opt (fun p -> p.ps_domains = 1) of_workload with
-        | None -> []
-        | Some base ->
-            List.map
-              (fun p ->
-                ( p,
-                  if p.ps_median_s > 0.0 then base.ps_median_s /. p.ps_median_s
-                  else 0.0 ))
-              of_workload)
-      workload_names
-  in
-  let st =
-    Table.create ~title:"Speedup vs 1 domain (median wall clock)"
-      ~headers:[ "workload"; "domains"; "oversub"; "act p50"; "speedup" ]
-      ~aligns:
-        [ Table.Left; Table.Right; Table.Left; Table.Right; Table.Right ]
-      ()
-  in
-  List.iter
-    (fun (p, s) ->
-      Table.add_row st
-        [
-          p.ps_name;
-          string_of_int p.ps_domains;
-          (if p.ps_oversub then "YES" else "-");
-          string_of_int p.ps_active_p50;
-          Printf.sprintf "%.2fx" s;
-        ])
-    speedups;
-  Table.print st;
+    rows;
   print_endline
     "  (per-worker overflow FIFO for yields, steal-half batches, lock-free\n\
     \   join, targeted one-worker wake-ups -- the Section VII M:N extension\n\
@@ -1132,40 +960,55 @@ let run_parallel_bench ~quick ~diff () =
     \   flag is measured -- active_workers_p50 > host_cores -- so a run\n\
     \   that collapsed its excess domains into deep park reads '-' even\n\
     \   when more domains were requested than cores exist)";
-  (* diff BEFORE overwriting: the old file is usually this same path,
-     and reading it after the write would compare the run to itself *)
   let regressions =
-    match diff with
-    | Some old_file -> print_diff ~old_file ~speedups stats
+    match old with
     | None -> []
+    | Some old ->
+        ignore
+          (Bench.diff ~metric:"median_s" ~better:`Lower
+             (fun _ r -> Some r.median_s)
+             ~old file);
+        Bench.diff ~min_ratio:speedup_gate_ratio ~sized:false
+          ~metric:"speedup vs domains=1" ~better:`Higher speedup ~old file
   in
-  let json = parallel_json ~quick ~warmup ~stats ~speedups in
-  let oc = open_out bench_file in
-  output_string oc json;
-  close_out oc;
-  Printf.printf "  wrote %s (%d results)\n" bench_file (List.length stats);
+  Bench.write bench_file file;
+  Printf.printf "  wrote %s (%d results)\n" bench_file (List.length rows);
   (* gate AFTER the write so a regressed run still leaves a fresh file
      to inspect.  On a 1-core host the gate relaxes to a warning: a
      shared single-core runner's numbers swing with its neighbours. *)
   if regressions <> [] then begin
-    List.iter
-      (fun (name, domains, old_s, new_s) ->
-        Printf.eprintf "  speedup regression: %s@%d %.2fx -> %.2fx\n" name
-          domains old_s new_s)
-      regressions;
+    List.iter (Printf.eprintf "  speedup regression: %s\n") regressions;
     if host_cores () > 1 then exit 3
     else
       Printf.eprintf
         "  (host has 1 core: speedup-regression gate relaxed to warning)\n"
   end
 
-(* CI smoke gate: BENCH_parallel.json must exist, parse, and carry the
-   v4 schema with sane fields.  Exit 1 on any violation (the bench-smoke
-   job fails on crash, malformed output, or a broken invariant -- and,
-   since v4, on the one perf property the elastic pool guarantees on
-   ANY host: an oversubscribed run must stay within [oversub_slowdown]
-   of the same workload at domains=1, because the adaptive loop is
-   supposed to collapse the excess workers rather than thrash). *)
+(* The validate targets are the CI gates: the file must exist, parse,
+   carry the bench schema for the right suite, and pass every gate of
+   that suite.  All violations are printed, each named by its gate;
+   exit 1 on any. *)
+let run_validate_file ~suite ~path gates =
+  let fail fmt = Printf.ksprintf (fun m -> prerr_endline m; exit 1) fmt in
+  match Bench.read path with
+  | Error msg -> fail "%s" msg
+  | Ok f when f.suite <> suite ->
+      fail "%s: [schema] suite %S, expected %S" path f.suite suite
+  | Ok f -> (
+      match Bench.check gates f with
+      | [] ->
+          Printf.printf "%s: valid (%d results, host_cores=%d)\n" path
+            (List.length f.rows) f.host_cores
+      | violations ->
+          List.iter
+            (fun (gate, msg) -> Printf.eprintf "%s: [%s] %s\n" path gate msg)
+            violations;
+          exit 1)
+
+(* Since the elastic pool, the one perf property it guarantees on ANY
+   host: an oversubscribed run must stay within [oversub_slowdown] of
+   the same workload at domains=1, because the adaptive loop is
+   supposed to collapse the excess workers rather than thrash. *)
 let oversub_slowdown = 1.35
 
 (* Additive slack for the oversubscription gate: the quick sweep's
@@ -1188,164 +1031,118 @@ let oversub_noise_s = 0.0005
    or a leaked pin would land 10x+). *)
 let proc_fd_overhead = 3.5
 
+let proc_rows =
+  [ "proc_spawn"; "proc_spawn_fiber_base"; "proc_fd_table"; "proc_fd_direct" ]
+
+(* A gate over each row: [check f r] is [Some complaint] on a
+   violation. *)
+let each_row check (f : Bench.file) = List.filter_map (check f) f.rows
+
+let complain r fmt =
+  Printf.ksprintf (fun s -> Some (Bench.label r ^ ": " ^ s)) fmt
+
+(* Gate: where [peer f r] finds a row to compare [r] with (and [r]
+   passes [applies]), [r]'s [value] may exceed the peer's by at most
+   [bound]x plus [slack]. *)
+let ratio_gate name ?(applies = fun _ _ -> true) ~peer ~value ?(slack = 0.0)
+    ~bound why =
+  ( name,
+    each_row (fun f r ->
+        match peer f r with
+        | Some p
+          when applies f r && value p > 0.0
+               && value r > (bound *. value p) +. slack ->
+            complain r "%.6g vs %.6g at %s (%.2fx > %.2fx allowed) -- %s"
+              (value r) (value p) (Bench.label p)
+              (value r /. value p)
+              bound why
+        | _ -> None) )
+
+let median (r : Bench.row) = r.median_s
+
+let has_telemetry keys =
+  ( "telemetry",
+    each_row (fun _ r ->
+        match List.filter (fun k -> not (List.mem_assoc k r.telemetry)) keys with
+        | [] -> None
+        | missing -> complain r "missing %s" (String.concat ", " missing)) )
+
+let parallel_gates : Bench.gate list =
+  [
+    has_telemetry par_telemetry;
+    ( "scheduler-telemetry",
+      each_row (fun _ r ->
+          let sfr = tel r "steal_fail_rate" in
+          let active = tel r "active_workers_p50" in
+          if domains r < 1 then complain r "domains < 1"
+          else if sfr > 1.0 then complain r "steal_fail_rate %.4f > 1" sfr
+          else if active < 1.0 || active > float_of_int (domains r) then
+            complain r "active_workers_p50 %.0f outside [1, %d]" active
+              (domains r)
+          else None) );
+    (* the flag is MEASURED: it reports what the pool did (active
+       workers vs cores), not what was asked *)
+    ( "oversubscribed-flag",
+      each_row (fun f r ->
+          let active = tel r "active_workers_p50" in
+          let flag = List.assoc_opt "oversubscribed" r.telemetry in
+          if flag = Some (Json.Bool (active > float_of_int f.host_cores)) then
+            None
+          else
+            complain r
+              "oversubscribed=%s but active_workers_p50=%.0f, host_cores=%d \
+               -- the flag must reflect measured width"
+              (Option.fold ~none:"missing" ~some:Bench.show flag)
+              active f.host_cores) );
+    (* requesting more domains than cores must not cost more than
+       [oversub_slowdown] vs the 1-domain run *)
+    ratio_gate "oversubscription"
+      ~applies:(fun f r -> domains r > f.host_cores)
+      ~peer:(fun f r -> Bench.peer f.rows r ("domains", int 1))
+      ~value:median ~bound:oversub_slowdown ~slack:oversub_noise_s
+      "the elastic pool failed to collapse";
+    (* speedups are derived from the rows, so the sweep must be whole *)
+    ( "domains-1-peer",
+      each_row (fun f r ->
+          if domains r > 1 && speedup f r = None then
+            complain r "no domains=1 peer to derive a speedup from"
+          else None) );
+    (* the process-layer rows must exist and have been measured at >=
+       1000 concurrent ULPs *)
+    ( "proc-rows",
+      fun f ->
+        List.filter_map
+          (fun name ->
+            match Bench.find f.rows name [ ("domains", int 1) ] with
+            | None -> Some (Printf.sprintf "missing proc row %s@1" name)
+            | Some r when name = "proc_spawn" && r.items < 1_000 ->
+                complain r
+                  "measured %d ULPs; the spawn-cost claim needs >= 1000 \
+                   concurrent ULPs"
+                  r.items
+            | Some _ -> None)
+          proc_rows );
+    (* The fd-table indirection must stay within [proc_fd_overhead] of
+       the bare Fiber_io baseline at every domain count: the
+       resolve-pin-write-release path adds a table lookup and a
+       refcount round trip per 1-byte write, not an extra syscall, so a
+       blowout here means the table went contended (or worse, started
+       allocating) on the hot path. *)
+    ratio_gate "fd-indirection"
+      ~peer:(fun f r ->
+        if r.name <> "proc_fd_table" then None
+        else Bench.find f.rows "proc_fd_direct" r.params)
+      ~value:median ~bound:proc_fd_overhead "fd-table indirection blew up";
+    ( "fd-direct-peer",
+      each_row (fun f r ->
+          if r.name = "proc_fd_table"
+             && Bench.find f.rows "proc_fd_direct" r.params = None
+          then complain r "no proc_fd_direct peer"
+          else None) );
+  ]
+
 let run_validate () =
-  let fail msg =
-    Printf.eprintf "%s: %s\n" bench_file msg;
-    exit 1
-  in
-  match Json.parse_file bench_file with
-  | Error msg -> fail msg
-  | Ok doc ->
-      (match Option.bind (Json.member "schema" doc) Json.to_string with
-      | Some "ulp-pip/parallel-bench/v4" -> ()
-      | Some other -> fail (Printf.sprintf "unexpected schema %S" other)
-      | None -> fail "missing schema");
-      let cores =
-        match Option.bind (Json.member "host_cores" doc) Json.to_float with
-        | Some c when c >= 1.0 -> int_of_float c
-        | _ -> fail "missing/bad host_cores"
-      in
-      let results =
-        match Option.bind (Json.member "results" doc) Json.to_list with
-        | Some (_ :: _ as l) -> l
-        | Some [] -> fail "empty results"
-        | None -> fail "missing results"
-      in
-      let rows =
-        List.map
-          (fun e ->
-            let num k =
-              match Option.bind (Json.member k e) Json.to_float with
-              | Some f when Float.is_finite f && f >= 0.0 -> f
-              | _ -> fail (Printf.sprintf "result with missing/bad %S" k)
-            in
-            let name =
-              match Option.bind (Json.member "name" e) Json.to_string with
-              | Some n -> n
-              | None -> fail "result without name"
-            in
-            let domains = int_of_float (num "domains") in
-            let where = Printf.sprintf "%s@%d" name domains in
-            ignore (num "p99_s");
-            ignore (num "median_throughput_per_s");
-            ignore (num "steals");
-            (* v4 scheduler telemetry: present and sane in every row *)
-            List.iter
-              (fun k -> ignore (num k))
-              [ "parks"; "deep_parks"; "wakes"; "spins"; "inj_drains" ];
-            let sfr = num "steal_fail_rate" in
-            if sfr > 1.0 then
-              fail (Printf.sprintf "%s: steal_fail_rate %.4f > 1" where sfr);
-            let active = int_of_float (num "active_workers_p50") in
-            if active < 1 || active > domains then
-              fail
-                (Printf.sprintf "%s: active_workers_p50 %d outside [1, %d]"
-                   where active domains);
-            let flag =
-              match
-                Option.bind (Json.member "oversubscribed" e) Json.to_bool
-              with
-              | Some f -> f
-              | None -> fail (where ^ ": missing oversubscribed flag")
-            in
-            (* v4 flag honesty is MEASURED: the flag reports what the
-               pool did (active workers vs cores), not what was asked *)
-            if flag <> (active > cores) then
-              fail
-                (Printf.sprintf
-                   "%s: oversubscribed=%b but active_workers_p50=%d, \
-                    host_cores=%d -- the flag must reflect measured width"
-                   where flag active cores);
-            (name, domains, num "median_s", int_of_float (num "items")))
-          results
-      in
-      (* oversubscription gate: requesting more domains than cores must
-         not cost more than [oversub_slowdown] vs the 1-domain run *)
-      List.iter
-        (fun (name, domains, median_s, _) ->
-          if domains > cores then
-            match
-              List.find_opt (fun (n, d, _, _) -> n = name && d = 1) rows
-            with
-            | None -> fail (name ^ ": oversubscribed row without domains=1 peer")
-            | Some (_, _, base_s, _) ->
-                if
-                  base_s > 0.0
-                  && median_s > (oversub_slowdown *. base_s) +. oversub_noise_s
-                then
-                  fail
-                    (Printf.sprintf
-                       "%s@%d: %.4fs vs %.4fs at domains=1 (%.2fx > %.2fx \
-                        allowed) -- the elastic pool failed to collapse"
-                       name domains median_s base_s (median_s /. base_s)
-                       oversub_slowdown))
-        rows;
-      (* speedups must cover the full sweep, not a chosen subset *)
-      let speedups =
-        match Option.bind (Json.member "speedups" doc) Json.to_list with
-        | Some (_ :: _ as l) ->
-            List.filter_map
-              (fun e ->
-                match
-                  ( Option.bind (Json.member "name" e) Json.to_string,
-                    Option.bind (Json.member "domains" e) Json.to_float )
-                with
-                | Some n, Some d -> Some (n, int_of_float d)
-                | _ -> None)
-              l
-        | _ -> fail "missing/empty speedups"
-      in
-      List.iter
-        (fun (name, domains, _, _) ->
-          if not (List.mem (name, domains) speedups) then
-            fail
-              (Printf.sprintf "speedups missing %s@%d -- must cover the full \
-                               sweep" name domains))
-        rows;
-      (* ---- lib/proc gates (ISSUE 9) ----
-         The process-layer rows must exist, must have been measured at
-         >= 1000 concurrent ULPs, and the fd-table indirection must
-         stay within [proc_fd_overhead] of the bare Fiber_io baseline
-         at every domain count: the resolve-pin-write-release path adds
-         a table lookup and a refcount round trip per 1-byte write, not
-         an extra syscall, so a blowout here means the table went
-         contended (or worse, started allocating) on the hot path. *)
-      let find_row name domains =
-        List.find_opt (fun (n, d, _, _) -> n = name && d = domains) rows
-      in
-      List.iter
-        (fun name ->
-          match find_row name 1 with
-          | None -> fail (Printf.sprintf "missing proc row %s@1" name)
-          | Some (_, _, _, items) ->
-              if name = "proc_spawn" && items < 1_000 then
-                fail
-                  (Printf.sprintf
-                     "proc_spawn measured %d ULPs; the spawn-cost claim needs \
-                      >= 1000 concurrent ULPs"
-                     items))
-        [ "proc_spawn"; "proc_spawn_fiber_base"; "proc_fd_table";
-          "proc_fd_direct" ];
-      List.iter
-        (fun (name, domains, table_s, _) ->
-          if name = "proc_fd_table" then
-            match find_row "proc_fd_direct" domains with
-            | None ->
-                fail
-                  (Printf.sprintf
-                     "proc_fd_table@%d has no proc_fd_direct peer" domains)
-            | Some (_, _, direct_s, _) ->
-                if direct_s > 0.0 && table_s > proc_fd_overhead *. direct_s
-                then
-                  fail
-                    (Printf.sprintf
-                       "proc_fd_table@%d: %.4fs vs %.4fs direct (%.2fx > \
-                        %.2fx allowed) -- fd-table indirection blew up"
-                       domains table_s direct_s (table_s /. direct_s)
-                       proc_fd_overhead))
-        rows;
-      Printf.printf "%s: valid (%d results, host_cores=%d)\n" bench_file
-        (List.length results) cores
+  run_validate_file ~suite:"parallel" ~path:bench_file parallel_gates
 
 (* ---------------------------------------------------------------- *)
 (* Net stack: echo load generator over real localhost sockets        *)
@@ -1371,8 +1168,10 @@ let run_validate () =
    RLIMIT_NOFILE is raised up front and the fd count must return to its
    baseline after the run -- [validate-net] gates on that, so a leaked
    socket fails CI.  Results go to BENCH_net.json (schema
-   ulp-pip/net-bench/v2); --diff against an older v1 or v2 file
-   regression-tables req/s and p99. *)
+   ulp-pip/bench/v5, suite "net"): one row "echo" per (backend, shards,
+   conns, reqs_per_conn), whose median_s / p99_s are the client-side
+   per-request RTT p50 / p99; --diff tables req/s and p99 against the
+   old file's row with the same params. *)
 
 module Net_reactor = Net.Reactor
 module Net_io = Net.Fiber_io
@@ -1380,21 +1179,6 @@ module Net_tcp = Net.Tcp_server
 
 let net_bench_file = "BENCH_net.json"
 let net_msg_bytes = 64
-
-type net_point = {
-  np_backend : string; (* poller backend this row actually ran on *)
-  np_shards : int; (* reactor shards this row ran with *)
-  np_conns : int; (* concurrent connections, all live at once *)
-  np_reqs_per_conn : int;
-  np_requests : int; (* completed request/response roundtrips *)
-  np_elapsed_s : float; (* request phase only *)
-  np_req_per_s : float;
-  np_p50_s : float;
-  np_p99_s : float;
-  np_max_s : float;
-  np_accepted : int;
-  np_max_active : int;
-}
 
 let count_fds () =
   match Sys.readdir "/proc/self/fd" with
@@ -1421,8 +1205,9 @@ let net_backend_name = function
    on a Completion latch, then fire [reqs] echo roundtrips each --
    per-request RTTs feed the percentile stats.  Shared between the
    in-process sweep and the [net-client] subprocess (below), so both
-   modes measure exactly the same workload.  Returns
-   (requests, elapsed_s, p50_s, p99_s, max_s). *)
+   modes measure exactly the same workload.  Returns the result as the
+   JSON object [net-client] prints: requests, elapsed_s, p50_s, p99_s,
+   max_s. *)
 let net_run_clients r ~port ~conns ~reqs =
   let module Fiber = Fiber_rt.Fiber in
   let module Completion = Fiber_rt.Completion in
@@ -1469,11 +1254,14 @@ let net_run_clients r ~port ~conns ~reqs =
   Completion.finish go;
   List.iter Fiber.join clients;
   let elapsed = Fiber_rt.Clock.now () -. t0 in
-  ( Atomic.get done_reqs,
-    elapsed,
-    Sim.Stats.percentile lat 50.0,
-    Sim.Stats.percentile lat 99.0,
-    Sim.Stats.max_value lat )
+  Json.Obj
+    [
+      ("requests", int (Atomic.get done_reqs));
+      ("elapsed_s", Json.Num elapsed);
+      ("p50_s", Json.Num (Sim.Stats.percentile lat 50.0));
+      ("p99_s", Json.Num (Sim.Stats.percentile lat 99.0));
+      ("max_s", Json.Num (Sim.Stats.max_value lat));
+    ]
 
 (* The [net-client] hidden subcommand: the whole client herd in its own
    process, with its own RLIMIT_NOFILE budget.  The parent spawns this
@@ -1483,15 +1271,11 @@ let net_run_clients r ~port ~conns ~reqs =
 let run_net_client ~port ~conns ~reqs () =
   ignore (Net.Poller.raise_nofile (conns + 1024));
   let r = Net_reactor.create () in
-  let result = ref (0, 0.0, 0.0, 0.0, 0.0) in
+  let result = ref Json.Null in
   Fiber_rt.Fiber.run_parallel (fun () ->
       result := net_run_clients r ~port ~conns ~reqs);
   Net_reactor.shutdown r;
-  let requests, elapsed, p50, p99, mx = !result in
-  Printf.printf
-    "{\"requests\": %d, \"elapsed_s\": %.6f, \"p50_s\": %.9f, \"p99_s\": \
-     %.9f, \"max_s\": %.9f}\n"
-    requests elapsed p50 p99 mx
+  print_string (Json.to_string !result)
 
 (* Run the herd in a [net-client] subprocess (fiber context): the
    parent keeps serving echoes while a fiber drains the child's stdout
@@ -1523,17 +1307,7 @@ let net_spawn_client r ~port ~conns ~reqs =
   (match Unix.waitpid [] pid with
   | _, Unix.WEXITED 0 -> ()
   | _ -> failwith "net bench: client subprocess failed");
-  let doc = Json.parse (Buffer.contents buf) in
-  let num k =
-    match Option.bind (Json.member k doc) Json.to_float with
-    | Some f -> f
-    | None -> failwith ("net bench: client result missing " ^ k)
-  in
-  ( int_of_float (num "requests"),
-    num "elapsed_s",
-    num "p50_s",
-    num "p99_s",
-    num "max_s" )
+  Json.parse (Buffer.contents buf)
 
 (* One sweep point: start a server, run the herd ([`Subproc]: in a
    child process -- see [net_spawn_client]), collect the row. *)
@@ -1544,7 +1318,7 @@ let net_sweep_point r ~mode ~conns ~reqs =
       ~handler:net_echo_handler ()
   in
   let port = Net_tcp.port srv in
-  let requests, elapsed, p50, p99, mx =
+  let result =
     match mode with
     | `InProc -> net_run_clients r ~port ~conns ~reqs
     | `Subproc -> net_spawn_client r ~port ~conns ~reqs
@@ -1555,144 +1329,35 @@ let net_sweep_point r ~mode ~conns ~reqs =
     failwith
       (Printf.sprintf "net bench: accepted %d of %d connections"
          st.Net_tcp.accepted conns);
-  {
-    np_backend = net_backend_name (Net_reactor.backend r);
-    np_shards = Net_reactor.shard_count r;
-    np_conns = conns;
-    np_reqs_per_conn = reqs;
-    np_requests = requests;
-    np_elapsed_s = elapsed;
-    np_req_per_s =
-      (if elapsed > 0.0 then float_of_int requests /. elapsed else 0.0);
-    np_p50_s = p50;
-    np_p99_s = p99;
-    np_max_s = mx;
-    np_accepted = st.Net_tcp.accepted;
-    np_max_active = st.Net_tcp.max_active;
-  }
-
-let net_json ~quick ~backend ~shards ~fd_baseline ~fd_after points =
-  let buf = Buffer.create 2048 in
-  let point_obj p =
-    Printf.sprintf
-      "    {\"backend\": \"%s\", \"shards\": %d, \"connections\": %d, \
-       \"reqs_per_conn\": %d, \"requests\": %d, \"elapsed_s\": %.6f, \
-       \"req_per_s\": %.1f, \"p50_s\": %.9f, \"p99_s\": %.9f, \"max_s\": \
-       %.9f, \"accepted\": %d, \"max_active\": %d}"
-      p.np_backend p.np_shards p.np_conns p.np_reqs_per_conn p.np_requests
-      p.np_elapsed_s p.np_req_per_s p.np_p50_s p.np_p99_s p.np_max_s
-      p.np_accepted p.np_max_active
+  let num k =
+    match Option.bind (Json.member k result) Json.to_float with
+    | Some f -> f
+    | None -> failwith ("net bench: client result missing " ^ k)
   in
-  let fd_json = function Some n -> string_of_int n | None -> "null" in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"schema\": \"ulp-pip/net-bench/v2\",\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"host_cores\": %d,\n" (host_cores ()));
-  Buffer.add_string buf (Printf.sprintf "  \"quick\": %b,\n" quick);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"backend\": \"%s\",\n" (net_backend_name backend));
-  Buffer.add_string buf (Printf.sprintf "  \"shards\": %d,\n" shards);
-  Buffer.add_string buf (Printf.sprintf "  \"msg_bytes\": %d,\n" net_msg_bytes);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"fd_baseline\": %s,\n" (fd_json fd_baseline));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"fd_after\": %s,\n" (fd_json fd_after));
-  Buffer.add_string buf "  \"results\": [\n";
-  Buffer.add_string buf (String.concat ",\n" (List.map point_obj points));
-  Buffer.add_string buf "\n  ]\n}\n";
-  Buffer.contents buf
-
-(* Regression table against an older BENCH_net.json -- v1 (one backend
-   for the whole file, no per-row backend) or v2 (per-row backend and
-   shards): req/s and p99 per connection count.  New rows match old
-   rows on (connections, backend) when possible, falling back to
-   connections alone so a v1 poll file still diffs against an epoll
-   run.  Reporting only, like the parallel diff -- CI machines differ
-   too much to gate on wall clock. *)
-let print_net_diff ~old_file points =
-  match Json.parse_file old_file with
-  | Error msg ->
-      Printf.eprintf "--diff %s: %s\n" old_file msg;
-      exit 2
-  | Ok doc ->
-      (match Option.bind (Json.member "schema" doc) Json.to_string with
-      | Some ("ulp-pip/net-bench/v1" | "ulp-pip/net-bench/v2") -> ()
-      | Some other ->
-          Printf.eprintf "--diff %s: schema %S is not a net-bench file\n"
-            old_file other;
-          exit 2
-      | None ->
-          Printf.eprintf "--diff %s: missing schema\n" old_file;
-          exit 2);
-      let file_backend =
-        (* v1: the file-level backend is every row's backend *)
-        Option.value ~default:"?"
-          (Option.bind (Json.member "backend" doc) Json.to_string)
-      in
-      let old_entries =
-        match Option.bind (Json.member "results" doc) Json.to_list with
-        | Some l ->
-            List.filter_map
-              (fun e ->
-                let num k = Option.bind (Json.member k e) Json.to_float in
-                let bk =
-                  Option.value ~default:file_backend
-                    (Option.bind (Json.member "backend" e) Json.to_string)
-                in
-                match (num "connections", num "req_per_s", num "p99_s") with
-                | Some c, Some rps, Some p99 ->
-                    Some (int_of_float c, bk, rps, p99)
-                | _ -> None)
-              l
-        | None -> []
-      in
-      let find_old p =
-        let same_conns (c, _, _, _) = c = p.np_conns in
-        match
-          List.find_opt
-            (fun (c, bk, _, _) -> c = p.np_conns && bk = p.np_backend)
-            old_entries
-        with
-        | Some _ as hit -> hit
-        | None -> List.find_opt same_conns old_entries
-      in
-      let t =
-        Table.create
-          ~title:
-            (Printf.sprintf
-               "Net regression vs %s (>1.00x req/s = faster now; <1.00x p99 = \
-                lower latency now)"
-               old_file)
-          ~headers:
-            [ "conns"; "old/new backend"; "old req/s"; "new req/s"; "ratio";
-              "old p99 [s]"; "new p99 [s]"; "ratio" ]
-          ~aligns:
-            [ Table.Right; Table.Right; Table.Right; Table.Right; Table.Right;
-              Table.Right; Table.Right; Table.Right ]
-          ()
-      in
-      List.iter
-        (fun p ->
-          match find_old p with
-          | None -> ()
-          | Some (_, old_bk, old_rps, old_p99) ->
-              Table.add_row t
-                [
-                  string_of_int p.np_conns;
-                  Printf.sprintf "%s/%s" old_bk p.np_backend;
-                  Printf.sprintf "%.0f" old_rps;
-                  Printf.sprintf "%.0f" p.np_req_per_s;
-                  (if old_rps > 0.0 then
-                     Printf.sprintf "%.2fx" (p.np_req_per_s /. old_rps)
-                   else "-");
-                  sci old_p99;
-                  sci p.np_p99_s;
-                  (if old_p99 > 0.0 then
-                     Printf.sprintf "%.2fx" (p.np_p99_s /. old_p99)
-                   else "-");
-                ])
-        points;
-      Table.print t
+  let elapsed = num "elapsed_s" in
+  {
+    Bench.name = "echo";
+    params =
+      [
+        ("backend", Json.Str (net_backend_name (Net_reactor.backend r)));
+        ("shards", int (Net_reactor.shard_count r));
+        ("conns", int conns);
+        ("reqs_per_conn", int reqs);
+      ];
+    items = conns * reqs;
+    median_s = num "p50_s";
+    p99_s = num "p99_s";
+    throughput_per_s =
+      (if elapsed > 0.0 then num "requests" /. elapsed else 0.0);
+    telemetry =
+      [
+        ("requests", Json.Num (num "requests"));
+        ("accepted", int st.Net_tcp.accepted);
+        ("max_active", int st.Net_tcp.max_active);
+        ("max_s", Json.Num (num "max_s"));
+        ("elapsed_s", Json.Num elapsed);
+      ];
+  }
 
 (* FD_SETSIZE is 1024 and each in-process connection costs two fds:
    pin the select backend's sweep well under the ceiling.  (CI's
@@ -1700,6 +1365,7 @@ let print_net_diff ~old_file points =
 let net_select_conn_cap = 400
 
 let run_net_bench ~quick ~diff ~net_backend ~net_shards () =
+  let old = read_old diff in
   let sweep =
     if quick then [ 100; 1000 ] else [ 64; 256; 1000; 4000; 10000 ]
   in
@@ -1750,7 +1416,7 @@ let run_net_bench ~quick ~diff ~net_backend ~net_shards () =
       if quick || conns <> 1000 then p
       else
         let p' = net_sweep_point r ~mode:(mode_for conns) ~conns ~reqs in
-        if p'.np_p99_s < p.np_p99_s then p' else p
+        if p'.p99_s < p.p99_s then p' else p
     in
     let points = ref [] in
     Fiber_rt.Fiber.run_parallel (fun () ->
@@ -1758,51 +1424,42 @@ let run_net_bench ~quick ~diff ~net_backend ~net_shards () =
     Net_reactor.shutdown r;
     (resolved, !points)
   in
-  let resolved, points = run_backend net_backend ~sweep in
+  let resolved, rows = run_backend net_backend ~sweep in
   (* A full epoll run re-measures the 1000-connection point on the poll
      backend, so the committed file carries its own cross-backend
      comparison rows (validate-net gates epoll p99 <= poll p99). *)
-  let points =
+  let rows =
     if (not quick) && resolved = `Epoll && List.mem 1000 sweep then
-      points @ snd (run_backend `Poll ~sweep:[ 1000 ])
-    else points
+      rows @ snd (run_backend `Poll ~sweep:[ 1000 ])
+    else rows
   in
   let fd_after = count_fds () in
-  let t =
-    Table.create
-      ~title:
-        (Printf.sprintf
-           "Net echo bench (localhost, %d-byte messages, %s backend, %d \
-            reactor shard%s, %d reqs/conn; connect first, then a timed \
-            steady-state request phase)"
-           net_msg_bytes (net_backend_name resolved) net_shards
-           (if net_shards = 1 then "" else "s")
-           reqs)
-      ~headers:
-        [ "backend"; "shards"; "conns"; "requests"; "elapsed [s]"; "req/s";
-          "p50 [s]"; "p99 [s]"; "max [s]"; "max active" ]
-      ~aligns:
-        [ Table.Right; Table.Right; Table.Right; Table.Right; Table.Right;
-          Table.Right; Table.Right; Table.Right; Table.Right; Table.Right ]
-      ()
-  in
-  List.iter
-    (fun p ->
-      Table.add_row t
+  let fd_json = Option.fold ~none:Json.Null ~some:int in
+  let file =
+    {
+      Bench.suite = "net";
+      host_cores = host_cores ();
+      quick;
+      facts =
         [
-          p.np_backend;
-          string_of_int p.np_shards;
-          string_of_int p.np_conns;
-          string_of_int p.np_requests;
-          Printf.sprintf "%.3f" p.np_elapsed_s;
-          Printf.sprintf "%.0f" p.np_req_per_s;
-          sci p.np_p50_s;
-          sci p.np_p99_s;
-          sci p.np_max_s;
-          string_of_int p.np_max_active;
-        ])
-    points;
-  Table.print t;
+          ("msg_bytes", int net_msg_bytes);
+          ("fd_baseline", fd_json fd_baseline);
+          ("fd_after", fd_json fd_after);
+        ];
+      rows;
+    }
+  in
+  Bench.print_rows
+    ~title:
+      (Printf.sprintf
+         "Net echo bench (localhost, %d-byte messages, %s backend, %d \
+          reactor shard%s, %d reqs/conn; connect first, then a timed \
+          steady-state request phase; median/p99 = per-request RTT)"
+         net_msg_bytes (net_backend_name resolved) net_shards
+         (if net_shards = 1 then "" else "s")
+         reqs)
+    ~extra:(List.map tel_column [ "max_s"; "max_active" ])
+    rows;
   (match (fd_baseline, fd_after) with
   | Some b, Some a when a <> b ->
       Printf.printf "  WARNING: fd count %d -> %d (leak?)\n" b a
@@ -1811,139 +1468,99 @@ let run_net_bench ~quick ~diff ~net_backend ~net_shards () =
   print_endline
     "  (every socket is multiplexed by the reactor shard threads; worker\n\
     \   domains never block in the kernel -- DESIGN.md sections 5c, 5e)";
-  (* diff BEFORE overwriting: the old file is often this same path *)
-  (match diff with
-  | Some old_file -> print_net_diff ~old_file points
-  | None -> ());
-  let json =
-    net_json ~quick ~backend:resolved ~shards:net_shards ~fd_baseline
-      ~fd_after points
-  in
-  let oc = open_out net_bench_file in
-  output_string oc json;
-  close_out oc;
+  (* reporting only, like the parallel wall-clock table -- CI machines
+     differ too much to gate on wall clock *)
+  Option.iter
+    (fun old ->
+      ignore
+        (Bench.diff ~metric:"throughput_per_s" ~better:`Higher
+           (fun _ r -> Some r.throughput_per_s)
+           ~old file);
+      ignore
+        (Bench.diff ~metric:"p99_s" ~better:`Lower
+           (fun _ r -> Some r.p99_s)
+           ~old file))
+    old;
+  Bench.write net_bench_file file;
   Printf.printf "  wrote %s (%d sweep points)\n" net_bench_file
-    (List.length points)
+    (List.length rows)
 
-(* CI gate for BENCH_net.json (schema v2): every row completed its
-   requests with sane latency fields; a >= 1000-connection point exists
-   (>= [net_select_conn_cap] when the whole file is the fd-capped
-   select leg); the tail stays bounded as concurrency scales -- for any
-   backend with both a 10000- and a 1000-connection row,
-   p99(10k)/p99(1k) must stay under [net_tail_ratio_max]; where the
-   file carries the built-in epoll-vs-poll cross-check rows, epoll's
-   p99 must not exceed poll's (small tolerance for jitter); and no fd
-   leak.  Exit 1 on violation. *)
+(* The net gates: every row completed its requests with sane latency
+   fields; a >= 1000-connection point exists (>= [net_select_conn_cap]
+   when the whole file is the fd-capped select leg); the tail stays
+   bounded as concurrency scales -- for any backend with both a 10000-
+   and a 1000-connection row, p99(10k)/p99(1k) must stay under
+   [net_tail_ratio_max]; where the file carries the built-in
+   epoll-vs-poll cross-check rows, epoll's p99 must not exceed poll's
+   (small tolerance for jitter); and no fd leak. *)
 let net_tail_ratio_max = 25.0
 let net_cross_backend_margin = 1.25
 
+let backend r =
+  Option.value ~default:"?"
+    (Option.bind (List.assoc_opt "backend" r.Bench.params) Json.to_str)
+
+let p99 (r : Bench.row) = r.p99_s
+
+let net_gates : Bench.gate list =
+  [
+    has_telemetry [ "requests"; "accepted"; "max_active"; "max_s"; "elapsed_s" ];
+    ( "params",
+      each_row (fun _ r ->
+          if not (List.mem (backend r) [ "epoll"; "poll"; "select" ]) then
+            complain r "unknown or missing backend"
+          else if param r "shards" < 1 then complain r "shards < 1"
+          else None) );
+    ( "completion",
+      each_row (fun _ r ->
+          let expected = param r "conns" * param r "reqs_per_conn" in
+          if tel r "requests" <> float_of_int expected then
+            complain r "%.0f requests, expected %d -- some client died"
+              (tel r "requests") expected
+          else if r.throughput_per_s <= 0.0 then complain r "zero throughput"
+          else if tel r "accepted" < float_of_int (param r "conns") then
+            complain r "server accepted fewer"
+          else None) );
+    ( "percentiles",
+      each_row (fun _ r ->
+          if r.median_s <= r.p99_s && r.p99_s <= tel r "max_s" then None
+          else complain r "percentiles not monotone") );
+    ( "floor",
+      fun f ->
+        let floor =
+          if List.for_all (fun r -> backend r = "select") f.rows then
+            net_select_conn_cap
+          else 1000
+        in
+        if List.exists (fun r -> param r "conns" >= floor) f.rows then []
+        else
+          [
+            Printf.sprintf "no sweep point with >= %d concurrent connections"
+              floor;
+          ] );
+    (* p99 must not blow up by more than [net_tail_ratio_max] from 1000
+       to 10000 connections on the same backend *)
+    ratio_gate "tail"
+      ~applies:(fun _ r ->
+        param r "conns" = 10000 && List.mem (backend r) [ "epoll"; "poll" ])
+      ~peer:(fun f r -> Bench.peer f.rows r ("conns", int 1000))
+      ~value:p99 ~bound:net_tail_ratio_max "the tail is not scaling";
+    (* where both were measured at the same params, epoll must not be
+       slower than poll *)
+    ratio_gate "epoll-vs-poll"
+      ~applies:(fun _ r -> backend r = "epoll")
+      ~peer:(fun f r -> Bench.peer f.rows r ("backend", Json.Str "poll"))
+      ~value:p99 ~bound:net_cross_backend_margin "epoll p99 trails poll's";
+    ( "fd-leak",
+      fun f ->
+        match (Bench.num f.facts "fd_baseline", Bench.num f.facts "fd_after") with
+        | Some b, Some a when a <> b ->
+            [ Printf.sprintf "fd leak: %.0f before, %.0f after" b a ]
+        | _ -> [] );
+  ]
+
 let run_validate_net () =
-  let fail msg =
-    Printf.eprintf "%s: %s\n" net_bench_file msg;
-    exit 1
-  in
-  match Json.parse_file net_bench_file with
-  | Error msg -> fail msg
-  | Ok doc ->
-      (match Option.bind (Json.member "schema" doc) Json.to_string with
-      | Some "ulp-pip/net-bench/v2" -> ()
-      | Some other -> fail (Printf.sprintf "unexpected schema %S" other)
-      | None -> fail "missing schema");
-      let results =
-        match Option.bind (Json.member "results" doc) Json.to_list with
-        | Some (_ :: _ as l) -> l
-        | Some [] -> fail "empty results"
-        | None -> fail "missing results"
-      in
-      let rows =
-        List.map
-          (fun e ->
-            let num k =
-              match Option.bind (Json.member k e) Json.to_float with
-              | Some f when Float.is_finite f && f >= 0.0 -> f
-              | _ -> fail (Printf.sprintf "result with missing/bad %S" k)
-            in
-            let backend =
-              match Option.bind (Json.member "backend" e) Json.to_string with
-              | Some ("epoll" | "poll" | "select") as b -> Option.get b
-              | Some other ->
-                  fail (Printf.sprintf "result with unknown backend %S" other)
-              | None -> fail "result without a backend"
-            in
-            let conns = int_of_float (num "connections") in
-            let requests = int_of_float (num "requests") in
-            let reqs_per_conn = int_of_float (num "reqs_per_conn") in
-            if int_of_float (num "shards") < 1 then
-              fail (Printf.sprintf "%d conns: shards < 1" conns);
-            if requests <> conns * reqs_per_conn then
-              fail
-                (Printf.sprintf
-                   "%d conns: %d requests, expected %d -- some client died"
-                   conns requests (conns * reqs_per_conn));
-            let p50 = num "p50_s" and p99 = num "p99_s" and mx = num "max_s" in
-            if not (p50 <= p99 && p99 <= mx) then
-              fail (Printf.sprintf "%d conns: percentiles not monotone" conns);
-            if num "req_per_s" <= 0.0 then
-              fail (Printf.sprintf "%d conns: zero throughput" conns);
-            if int_of_float (num "accepted") < conns then
-              fail (Printf.sprintf "%d conns: server accepted fewer" conns);
-            (backend, conns, p99))
-          results
-      in
-      let select_only =
-        List.for_all (fun (bk, _, _) -> bk = "select") rows
-      in
-      let floor_conns = if select_only then net_select_conn_cap else 1000 in
-      if not (List.exists (fun (_, c, _) -> c >= floor_conns) rows) then
-        fail
-          (Printf.sprintf "no sweep point with >= %d concurrent connections"
-             floor_conns);
-      (* tail gate: p99 must not blow up by more than [net_tail_ratio_max]
-         from 1000 to 10000 connections on the same backend *)
-      let p99_at bk c =
-        List.find_map
-          (fun (bk', c', p) -> if bk' = bk && c' = c then Some p else None)
-          rows
-      in
-      List.iter
-        (fun bk ->
-          match (p99_at bk 1000, p99_at bk 10000) with
-          | Some p1k, Some p10k when p1k > 0.0 ->
-              let ratio = p10k /. p1k in
-              if ratio > net_tail_ratio_max then
-                fail
-                  (Printf.sprintf
-                     "%s: p99(10k)/p99(1k) = %.1f exceeds %.1f -- the tail \
-                      is not scaling"
-                     bk ratio net_tail_ratio_max)
-          | _ -> ())
-        [ "epoll"; "poll" ];
-      (* cross-backend gate: where both were measured at the same
-         connection count, epoll must not be slower than poll *)
-      List.iter
-        (fun (bk, c, p99_e) ->
-          if bk = "epoll" then
-            match p99_at "poll" c with
-            | Some p99_p
-              when p99_p > 0.0 && p99_e > p99_p *. net_cross_backend_margin ->
-                fail
-                  (Printf.sprintf
-                     "%d conns: epoll p99 %.6fs exceeds poll p99 %.6fs" c
-                     p99_e p99_p)
-            | _ -> ())
-        rows;
-      (match
-         ( Option.bind (Json.member "fd_baseline" doc) Json.to_float,
-           Option.bind (Json.member "fd_after" doc) Json.to_float )
-       with
-      | Some b, Some a when a <> b ->
-          fail
-            (Printf.sprintf "fd leak: %d before, %d after" (int_of_float b)
-               (int_of_float a))
-      | _ -> ());
-      Printf.printf
-        "%s: valid (%d sweep points, >= %d-connection point present)\n"
-        net_bench_file (List.length rows) floor_conns
+  run_validate_file ~suite:"net" ~path:net_bench_file net_gates
 
 (* ---------------------------------------------------------------- *)
 (* main                                                              *)

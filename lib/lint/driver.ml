@@ -309,21 +309,6 @@ let print ?(show_waived = false) oc r =
     (waived_count r) (warning_count r)
     (if warning_count r = 1 then "" else "s")
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 (* schema v2: the summaries section and per-rule counts make a report
    diffable at a glance; findings are sorted (Finding.order) and keys
    are emitted in one fixed order, so baseline diffs are line-stable. *)
@@ -337,55 +322,51 @@ let rule_counts r =
   List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
 
 let write_json ~path r =
+  let module J = Report.Json in
+  let int n = J.Num (float_of_int n) and str s = J.Str s in
+  let finding (f : Finding.t) =
+    J.Obj
+      ([
+         ("file", str f.file);
+         ("line", int f.line);
+         ("col", int f.col);
+         ("rule", str f.rule);
+         ("severity", str (Finding.severity_to_string f.severity));
+         ("message", str f.message);
+         ("waived", J.Bool (f.waived <> None));
+       ]
+      @ (match f.waived with None -> [] | Some why -> [ ("reason", str why) ])
+      @ match f.path with [] -> [] | p -> [ ("path", J.List (List.map str p)) ])
+  in
+  let s = r.stats in
+  let doc =
+    J.Obj
+      [
+        ("schema", str "ulp-pip/lint/v2");
+        ("roots", J.List (List.map str r.roots));
+        ("files_scanned", int r.files_scanned);
+        ("errors", int (unwaived_errors r));
+        ("warnings", int (warning_count r));
+        ("waived", int (waived_count r));
+        ( "summaries",
+          J.Obj
+            [
+              ("functions", int s.functions);
+              ("may_park", int s.may_park);
+              ("may_block", int s.may_block);
+              ("reaches_cancellation", int s.reaches_cancellation);
+              ("locks", int s.locks);
+              ("lock_order_edges", int s.lock_order_edges);
+            ] );
+        ( "rule_counts",
+          J.Obj (List.map (fun (k, n) -> (k, int n)) (rule_counts r)) );
+        ("findings", J.List (List.map finding r.findings));
+      ]
+  in
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      Printf.fprintf oc "{\n  \"schema\": \"ulp-pip/lint/v2\",\n";
-      Printf.fprintf oc "  \"roots\": [%s],\n"
-        (String.concat ", "
-           (List.map (fun s -> "\"" ^ json_escape s ^ "\"") r.roots));
-      Printf.fprintf oc "  \"files_scanned\": %d,\n" r.files_scanned;
-      Printf.fprintf oc "  \"errors\": %d,\n" (unwaived_errors r);
-      Printf.fprintf oc "  \"warnings\": %d,\n" (warning_count r);
-      Printf.fprintf oc "  \"waived\": %d,\n" (waived_count r);
-      Printf.fprintf oc
-        "  \"summaries\": { \"functions\": %d, \"may_park\": %d, \
-         \"may_block\": %d, \"reaches_cancellation\": %d, \"locks\": %d, \
-         \"lock_order_edges\": %d },\n"
-        r.stats.functions r.stats.may_park r.stats.may_block
-        r.stats.reaches_cancellation r.stats.locks r.stats.lock_order_edges;
-      Printf.fprintf oc "  \"rule_counts\": {%s},\n"
-        (String.concat ", "
-           (List.map
-              (fun (rule, n) ->
-                Printf.sprintf " \"%s\": %d" (json_escape rule) n)
-              (rule_counts r)));
-      Printf.fprintf oc "  \"findings\": [";
-      List.iteri
-        (fun i (f : Finding.t) ->
-          Printf.fprintf oc "%s\n    { \"file\": \"%s\", \"line\": %d, \
-                             \"col\": %d, \"rule\": \"%s\", \"severity\": \
-                             \"%s\", \"message\": \"%s\", \"waived\": %b%s%s }"
-            (if i = 0 then "" else ",")
-            (json_escape f.file) f.line f.col (json_escape f.rule)
-            (Finding.severity_to_string f.severity)
-            (json_escape f.message)
-            (f.waived <> None)
-            (match f.waived with
-            | None -> ""
-            | Some reason ->
-                Printf.sprintf ", \"reason\": \"%s\"" (json_escape reason))
-            (match f.path with
-            | [] -> ""
-            | path ->
-                Printf.sprintf ", \"path\": [%s]"
-                  (String.concat ", "
-                     (List.map
-                        (fun s -> "\"" ^ json_escape s ^ "\"")
-                        path))))
-        r.findings;
-      Printf.fprintf oc "\n  ]\n}\n")
+    (fun () -> output_string oc (J.to_string doc))
 
 (* ---------- --diff: gate only NEW unwaivered findings ---------- *)
 
@@ -403,7 +384,7 @@ let diff ~baseline r =
           let key_tbl = Hashtbl.create 64 in
           List.iter
             (fun f ->
-              let str k = Option.bind (Report.Json.member k f) Report.Json.to_string in
+              let str k = Option.bind (Report.Json.member k f) Report.Json.to_str in
               let num k = Option.bind (Report.Json.member k f) Report.Json.to_float in
               match (str "file", str "rule", num "line") with
               | Some file, Some rule, Some line ->

@@ -1,7 +1,8 @@
-(* A minimal recursive-descent JSON reader.  The bench harness both
-   writes and re-reads its BENCH_*.json files (--diff regression tables,
-   CI validation), and the toolchain here has no JSON library -- this
-   covers the full grammar at report scale, nothing more. *)
+(* A minimal JSON reader and printer.  The bench harness and ulplint
+   write their reports with [to_string] and re-read them with [parse]
+   (--diff tables, CI validation), and the toolchain here has no JSON
+   library -- this covers the full grammar at report scale, nothing
+   more. *)
 
 type t =
   | Null
@@ -207,6 +208,73 @@ let parse_file path =
 
 let member key = function Obj kvs -> List.assoc_opt key kvs | _ -> None
 let to_float = function Num f -> Some f | _ -> None
-let to_string = function Str s -> Some s | _ -> None
+let to_str = function Str s -> Some s | _ -> None
 let to_bool = function Bool b -> Some b | _ -> None
 let to_list = function List l -> Some l | _ -> None
+
+(* ---------- printing ---------- *)
+
+let escape b s =
+  String.iter
+    (function
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | c when Char.code c < 0x20 ->
+          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s
+
+(* the shortest of %.15g..%.17g that reads back as the same float *)
+let number f =
+  if not (Float.is_finite f) then "null"
+  else
+    let rec go p =
+      let s = Printf.sprintf "%.*g" p f in
+      if p >= 17 || float_of_string s = f then s else go (p + 1)
+    in
+    go 15
+
+(* One layout rule, so reports diff line by line: a top-level object
+   puts each field on its own line, and so does a top-level field's
+   array of objects or arrays with its elements; everything nested
+   deeper is inline. *)
+let rec write b depth v =
+  let seq ~broken op cl item l =
+    let broken = broken && l <> [] in
+    Buffer.add_char b op;
+    List.iteri
+      (fun i x ->
+        if i > 0 then Buffer.add_string b (if broken then "," else ", ");
+        if broken then
+          Buffer.add_string b ("\n" ^ String.make ((2 * depth) + 2) ' ');
+        item x)
+      l;
+    if broken then Buffer.add_string b ("\n" ^ String.make (2 * depth) ' ');
+    Buffer.add_char b cl
+  in
+  match v with
+  | Null -> Buffer.add_string b "null"
+  | Bool v -> Buffer.add_string b (string_of_bool v)
+  | Num f -> Buffer.add_string b (number f)
+  | Str s ->
+      Buffer.add_char b '"';
+      escape b s;
+      Buffer.add_char b '"'
+  | List l ->
+      let nested = function List _ | Obj _ -> true | _ -> false in
+      seq
+        ~broken:(depth = 1 && List.exists nested l)
+        '[' ']' (write b (depth + 1)) l
+  | Obj kvs ->
+      seq ~broken:(depth = 0) '{' '}'
+        (fun (k, x) ->
+          write b (depth + 1) (Str k);
+          Buffer.add_string b ": ";
+          write b (depth + 1) x)
+        kvs
+
+let to_string v =
+  let b = Buffer.create 4096 in
+  write b 0 v;
+  Buffer.add_char b '\n';
+  Buffer.contents b

@@ -1,7 +1,7 @@
-(** A minimal JSON reader for the bench harness: enough to parse the
-    BENCH_*.json files this repo writes (and validate them in CI)
-    without pulling in a JSON dependency.  Full number/string/escape
-    support; not a streaming parser — fine at bench-report scale. *)
+(** A minimal JSON reader and printer for the repo's reports
+    (BENCH_*.json, LINT.json) without pulling in a JSON dependency.
+    Full number/string/escape support; not a streaming parser -- fine
+    at report scale. *)
 
 type t =
   | Null
@@ -24,6 +24,15 @@ val member : string -> t -> t option
 (** Field lookup; [None] on missing field or non-object. *)
 
 val to_float : t -> float option
-val to_string : t -> string option
+val to_str : t -> string option
 val to_bool : t -> bool option
 val to_list : t -> t list option
+
+val to_string : t -> string
+(** The one report layout: a top-level object puts each field on its
+    own line, and a field holding an array of objects or arrays puts
+    each element on its own line; everything nested deeper is inline,
+    as [{"key": value, ...}].  Strings escape the double quote and the
+    backslash and write every control byte as a \u00XX escape;
+    non-finite numbers print as [null].  Ends with a newline.
+    [parse (to_string v)] is [v] for finite numbers. *)

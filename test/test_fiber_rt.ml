@@ -568,10 +568,11 @@ let test_par_exception_aborts_run () =
   | () -> Alcotest.fail "no exception"
 
 let test_par_worker_index () =
-  Fiber.run_parallel ~domains:2 (fun () ->
+  Verdicts.run_parallel ~domains:2 (fun () ->
       match Fiber.worker_index () with
-      | Some i -> Alcotest.(check bool) "index in range" true (i >= 0 && i < 2)
-      | None -> Alcotest.fail "no worker index under run_parallel");
+      | Some i -> Verdicts.check Alcotest.bool "index in range"
+                    true (i >= 0 && i < 2)
+      | None -> Verdicts.fail "no worker index under run_parallel");
   Fiber.run (fun () ->
       Alcotest.(check (option int))
         "run is worker 0 of one" (Some 0) (Fiber.worker_index ()))
@@ -581,8 +582,8 @@ let test_par_worker_index () =
    requested worker (later steps may migrate by stealing -- placement
    is a start hint, not a pin).  Out-of-range ids wrap. *)
 let test_par_spawn_on_placement () =
-  Fiber.run_parallel ~domains:3 (fun () ->
-      Alcotest.(check (option int))
+  Verdicts.run_parallel ~domains:3 (fun () ->
+      Verdicts.check Alcotest.(option int)
         "num_workers under run_parallel" (Some 3) (Fiber.num_workers ());
       let fs =
         List.init 12 (fun i ->
@@ -591,8 +592,8 @@ let test_par_spawn_on_placement () =
                 match Fiber.worker_index () with
                 | Some w ->
                     if w <> target then
-                      Alcotest.failf "started on worker %d, wanted %d" w target
-                | None -> Alcotest.fail "no worker context in spawned fiber"))
+                      Verdicts.failf "started on worker %d, wanted %d" w target
+                | None -> Verdicts.fail "no worker context in spawned fiber"))
       in
       List.iter Fiber.join fs;
       (* out-of-range worker ids wrap instead of raising *)
@@ -601,8 +602,8 @@ let test_par_spawn_on_placement () =
             match Fiber.worker_index () with
             | Some w ->
                 if w <> 5 mod 3 then
-                  Alcotest.failf "worker 5 wrapped to %d, wanted %d" w (5 mod 3)
-            | None -> Alcotest.fail "no worker context")
+                  Verdicts.failf "worker 5 wrapped to %d, wanted %d" w (5 mod 3)
+            | None -> Verdicts.fail "no worker context")
       in
       Fiber.join wrapped);
   Alcotest.(check (option int))
@@ -614,7 +615,7 @@ let test_par_spawn_on_placement () =
    its single-owner deque from a foreign thread.  The context is keyed
    by thread identity now -- a non-worker thread must see none. *)
 let test_par_foreign_thread_identity () =
-  Fiber.run_parallel ~domains:2 (fun () ->
+  Verdicts.run_parallel ~domains:2 (fun () ->
       let saw_index = ref (Some 99) and saw_workers = ref (Some 99) in
       let th =
         Thread.create
@@ -624,14 +625,14 @@ let test_par_foreign_thread_identity () =
           ()
       in
       Thread.join th;
-      Alcotest.(check (option int))
+      Verdicts.check Alcotest.(option int)
         "foreign thread has no worker identity" None !saw_index;
-      Alcotest.(check (option int))
+      Verdicts.check Alcotest.(option int)
         "foreign thread sees no worker count" None !saw_workers;
       (* the fiber itself still has its identity after the join *)
       match Fiber.worker_index () with
       | Some _ -> ()
-      | None -> Alcotest.fail "fiber lost its worker context")
+      | None -> Verdicts.fail "fiber lost its worker context")
 
 (* The system-call-consistency property under migration: whatever
    domain a fiber's runnable half lands on after each suspension, its
@@ -639,7 +640,7 @@ let test_par_foreign_thread_identity () =
 let test_par_executor_affinity_under_migration () =
   let fibers = 8 in
   let migrated = Atomic.make 0 in
-  Fiber.run_parallel ~domains:4 (fun () ->
+  Verdicts.run_parallel ~domains:4 (fun () ->
       let fs =
         List.init fibers (fun _ ->
             Fiber.spawn (fun () ->
@@ -651,16 +652,16 @@ let test_par_executor_affinity_under_migration () =
                   | Some w ->
                       if not (List.mem w !seen_workers) then
                         seen_workers := w :: !seen_workers
-                  | None -> Alcotest.fail "lost worker context");
+                  | None -> Verdicts.fail "lost worker context");
                   Fiber.yield ();
                   (* every post-suspension coupled call must land on the
                      same home KC thread *)
                   let tid =
                     Blt_rt.coupled (fun () -> Thread.id (Thread.self ()))
                   in
-                  Alcotest.(check int) "home KC stable" tid0 tid
+                  Verdicts.check Alcotest.int "home KC stable" tid0 tid
                 done;
-                Alcotest.(check int) "declared id matches" declared tid0;
+                Verdicts.check Alcotest.int "declared id matches" declared tid0;
                 if List.length !seen_workers > 1 then Atomic.incr migrated))
       in
       List.iter Fiber.join fs);
@@ -669,32 +670,33 @@ let test_par_executor_affinity_under_migration () =
   ignore (Atomic.get migrated)
 
 let test_par_coupled_runs_off_worker_domains () =
-  Fiber.run_parallel ~domains:2 (fun () ->
+  Verdicts.run_parallel ~domains:2 (fun () ->
       let f =
         Fiber.spawn (fun () ->
-            Alcotest.(check int) "coupled value" 41
+            Verdicts.check Alcotest.int "coupled value" 41
               (Blt_rt.coupled (fun () -> 41));
             let p1 = Blt_rt.coupled_syscall (fun () -> Unix.getpid ()) in
             let p2 = Blt_rt.coupled_syscall (fun () -> Unix.getpid ()) in
-            Alcotest.(check int) "stable pid" p1 p2)
+            Verdicts.check Alcotest.int "stable pid" p1 p2)
       in
       Fiber.join f)
 
 let test_par_kc_failures_surface () =
-  Fiber.run_parallel ~domains:2 (fun () ->
+  Verdicts.run_parallel ~domains:2 (fun () ->
       let f =
         Fiber.spawn (fun () ->
-            Alcotest.(check int) "clean KC" 0 (Blt_rt.kc_failures ());
+            Verdicts.check Alcotest.int "clean KC" 0 (Blt_rt.kc_failures ());
             (* a raw (non-coupled) job that raises on the home KC *)
             Executor.submit (Blt_rt.my_executor ()) (fun () ->
                 failwith "raw job failed");
             (* a coupled round trip orders us after the raw job *)
             ignore (Blt_rt.coupled (fun () -> ()));
-            Alcotest.(check int) "failure recorded" 1 (Blt_rt.kc_failures ());
+            Verdicts.check Alcotest.int "failure recorded"
+              1 (Blt_rt.kc_failures ());
             match Blt_rt.kc_last_error () with
             | Some (Failure msg) ->
-                Alcotest.(check string) "message kept" "raw job failed" msg
-            | _ -> Alcotest.fail "no last_error")
+                Verdicts.check Alcotest.string "message kept" "raw job failed" msg
+            | _ -> Verdicts.fail "no last_error")
       in
       Fiber.join f)
 

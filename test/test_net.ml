@@ -338,7 +338,7 @@ let test_await_fd_pipe () =
       Unix.set_nonblock rd;
       Unix.set_nonblock wr;
       let got = ref "" in
-      Fiber.run_parallel ~domains:2 (fun () ->
+      Verdicts.run_parallel ~domains:2 (fun () ->
           ignore
             (Fiber.spawn (fun () ->
                  Reactor.sleep r 0.03;
@@ -348,7 +348,7 @@ let test_await_fd_pipe () =
               let buf = Bytes.create 16 in
               let n = Unix.read rd buf 0 16 in
               got := Bytes.sub_string buf 0 n
-          | `Timeout -> Alcotest.fail "no deadline given, yet Timeout"));
+          | `Timeout -> Verdicts.fail "no deadline given, yet Timeout"));
       Unix.close rd;
       Unix.close wr;
       Alcotest.(check string) "readiness delivered the write" "ping" !got)
@@ -394,7 +394,7 @@ let test_with_timeout_racing_io () =
      verdict and, on Ok, carry the read data (never a torn result). *)
   with_reactor (fun r ->
       let oks = ref 0 and timeouts = ref 0 in
-      Fiber.run_parallel ~domains:2 (fun () ->
+      Verdicts.run_parallel ~domains:2 (fun () ->
           for _ = 1 to 20 do
             let rd, wr = Unix.pipe ~cloexec:true () in
             Unix.set_nonblock rd;
@@ -410,7 +410,7 @@ let test_with_timeout_racing_io () =
                    Bytes.sub_string buf 0 n)
              with
             | Ok "x" -> incr oks
-            | Ok other -> Alcotest.failf "torn read %S" other
+            | Ok other -> Verdicts.failf "torn read %S" other
             | Error `Timeout -> incr timeouts);
             (* the abandoned body may still hold the fds for a moment;
                give it the leftover byte then reap *)
@@ -469,7 +469,7 @@ let test_with_timeout_deadline_during_cancel () =
      carries the body's value (the loser's wake is absorbed). *)
   with_reactor (fun r ->
       let oks = ref 0 and timeouts = ref 0 in
-      Fiber.run_parallel ~domains:2 (fun () ->
+      Verdicts.run_parallel ~domains:2 (fun () ->
           for i = 1 to 30 do
             match
               Reactor.with_timeout r ~seconds:0.005 (fun () ->
@@ -477,7 +477,7 @@ let test_with_timeout_deadline_during_cancel () =
                   i)
             with
             | Ok j when j = i -> incr oks
-            | Ok j -> Alcotest.failf "iteration %d returned %d" i j
+            | Ok j -> Verdicts.failf "iteration %d returned %d" i j
             | Error `Timeout -> incr timeouts
           done);
       Alcotest.(check int) "every race resolved" 30 (!oks + !timeouts);
@@ -492,7 +492,7 @@ let test_cancel_scope_after_fires () =
   with_reactor (fun r ->
       let cancelled_children = Atomic.make 0 in
       let t0 = Unix.gettimeofday () in
-      Fiber.run_parallel ~domains:2 (fun () ->
+      Verdicts.run_parallel ~domains:2 (fun () ->
           let v =
             Scope.run (fun sc ->
                 let _disarm = Reactor.cancel_scope_after r ~seconds:0.03 sc in
@@ -509,7 +509,7 @@ let test_cancel_scope_after_fires () =
                 done;
                 "deadline-bounded")
           in
-          Alcotest.(check string)
+          Verdicts.check Alcotest.string
             "cancelled scope still returns the body value" "deadline-bounded" v);
       let dt = Unix.gettimeofday () -. t0 in
       Alcotest.(check int) "every child unwound via Cancelled" 3
@@ -519,14 +519,15 @@ let test_cancel_scope_after_fires () =
 
 let test_cancel_scope_after_disarm () =
   with_reactor (fun r ->
-      Fiber.run_parallel ~domains:2 (fun () ->
+      Verdicts.run_parallel ~domains:2 (fun () ->
           Scope.run (fun sc ->
               let disarm = Reactor.cancel_scope_after r ~seconds:5.0 sc in
               Scope.spawn sc (fun () -> Reactor.sleep r 0.01);
-              Alcotest.(check bool)
+              Verdicts.check Alcotest.bool
                 "disarm beats a far deadline" true (disarm ());
-              Alcotest.(check bool) "second disarm is false" false (disarm ()));
-          Alcotest.(check bool) "scope never cancelled" true true))
+              Verdicts.check Alcotest.bool "second disarm is false"
+                false (disarm ()));
+          Verdicts.check Alcotest.bool "scope never cancelled" true true))
 
 let test_fiber_io_pipe () =
   with_reactor (fun r ->
@@ -653,7 +654,7 @@ let test_tcp_backpressure () =
 let test_tcp_graceful_stop () =
   with_reactor (fun r ->
       let served = Atomic.make false in
-      Fiber.run_parallel ~domains:2 (fun () ->
+      Verdicts.run_parallel ~domains:2 (fun () ->
           let srv =
             Tcp.start ~reactor:r
               ~addr:(Unix.ADDR_INET (localhost, 0))
@@ -674,16 +675,16 @@ let test_tcp_graceful_stop () =
             end
           in
           wait_accept 100;
-          Alcotest.(check int) "one live connection" 1 (Tcp.active srv);
+          Verdicts.check Alcotest.int "one live connection" 1 (Tcp.active srv);
           (* stop must drain: the in-flight handler finishes, is not
              killed *)
           Tcp.stop srv;
-          Alcotest.(check bool) "stop waited for the handler" true
+          Verdicts.check Alcotest.bool "stop waited for the handler" true
             (Atomic.get served);
-          Alcotest.(check int) "drained" 0 (Tcp.active srv);
+          Verdicts.check Alcotest.int "drained" 0 (Tcp.active srv);
           let buf = Bytes.create 3 in
           Fio.read_exact r fd buf 0 3;
-          Alcotest.(check string) "response arrived before the drain" "bye"
+          Verdicts.check Alcotest.string "response arrived before the drain" "bye"
             (Bytes.to_string buf);
           Unix.close fd));
   ()

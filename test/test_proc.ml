@@ -12,7 +12,7 @@ module Fiber = Fiber_rt.Fiber
 module Reactor = Net.Reactor
 module Fd = Proc.Fd_core
 
-let run2 f = Fiber.run_parallel ~domains:2 f
+let run2 f = Verdicts.run_parallel ~domains:2 f
 
 let with_reactor f =
   let r = Reactor.create () in
@@ -23,11 +23,13 @@ let count_fds () =
   | entries -> Some (Array.length entries)
   | exception Sys_error _ -> None
 
-(* Bounded spin so a lost wakeup fails the test instead of hanging CI. *)
+(* Bounded spin so a lost wakeup fails the test instead of hanging CI.
+   It runs on worker domains, so it fails by raising, never through
+   Alcotest (see Verdicts); the exception aborts the run. *)
 let spin_until ?(tries = 100_000) msg cond =
   let rec go n =
     if cond () then ()
-    else if n = 0 then Alcotest.failf "timed out waiting for %s" msg
+    else if n = 0 then failwith ("timed out waiting for " ^ msg)
     else begin
       Fiber.yield ();
       go (n - 1)
@@ -43,7 +45,7 @@ let status = Alcotest.testable (fun ppf -> function
 let wait_ok ~parent ~vpid =
   match Proc.waitpid ~parent ~vpid with
   | Ok st -> st
-  | Error `Echild -> Alcotest.failf "waitpid %d: ECHILD" vpid
+  | Error `Echild -> failwith (Printf.sprintf "waitpid %d: ECHILD" vpid)
 
 (* ---------- fd table: POSIX slot order and dup2 semantics ---------- *)
 
@@ -105,10 +107,10 @@ let test_fd_close_all_concurrent_sharers () =
         Fiber.join f1;
         Fiber.join f2;
         if Atomic.get destroyed <> 1 then
-          Alcotest.failf "shared fd destroyed %d times"
+          Verdicts.failf "shared fd destroyed %d times"
             (Atomic.get destroyed);
         if Fd.refs r <> 0 then
-          Alcotest.failf "%d refs left after both close_all" (Fd.refs r)
+          Verdicts.failf "%d refs left after both close_all" (Fd.refs r)
       done)
 
 (* ---------- fd table through Proc.Io on real host fds ---------- *)
@@ -118,14 +120,14 @@ let test_io_lowest_slot_posix () =
       let w = Proc.boot () in
       let u = Proc.root w in
       let o () = Proc.Io.openfile u "/dev/null" [ Unix.O_WRONLY ] 0 in
-      Alcotest.(check int) "vfd 0" 0 (o ());
-      Alcotest.(check int) "vfd 1" 1 (o ());
-      Alcotest.(check int) "vfd 2" 2 (o ());
+      Verdicts.check Alcotest.int "vfd 0" 0 (o ());
+      Verdicts.check Alcotest.int "vfd 1" 1 (o ());
+      Verdicts.check Alcotest.int "vfd 2" 2 (o ());
       Proc.Io.close u 1;
-      Alcotest.(check int) "lowest freed vfd reused" 1 (o ());
+      Verdicts.check Alcotest.int "lowest freed vfd reused" 1 (o ());
       let d = Proc.Io.dup u 0 in
-      Alcotest.(check int) "dup takes the next free slot" 3 d;
-      Alcotest.(check bool) "closing a bad vfd is EBADF" true
+      Verdicts.check Alcotest.int "dup takes the next free slot" 3 d;
+      Verdicts.check Alcotest.bool "closing a bad vfd is EBADF" true
         (match Proc.Io.close u 9 with
         | () -> false
         | exception Unix.Unix_error (Unix.EBADF, _, _) -> true);
@@ -161,7 +163,7 @@ let test_io_share_pipe_across_ulps () =
                 Proc.Io.write_all r u cwr (Bytes.of_string "hi") 0 2;
                 Proc.Io.close u cwr)
           in
-          Alcotest.(check status) "writer exited cleanly" (Proc.Exited 0)
+          Verdicts.check status "writer exited cleanly" (Proc.Exited 0)
             (wait_ok ~parent:u0 ~vpid:(Proc.getpid child));
           (* our name for the write end is still valid: the child's
              close dropped ITS reference, not the host fd *)
@@ -169,7 +171,7 @@ let test_io_share_pipe_across_ulps () =
           let buf = Bytes.create 2 in
           Proc.Io.read_exact r u0 ~deadline:(Unix.gettimeofday () +. 5.) rd
             buf 0 2;
-          Alcotest.(check string) "bytes crossed the ULP boundary" "hi"
+          Verdicts.check Alcotest.string "bytes crossed the ULP boundary" "hi"
             (Bytes.to_string buf);
           Proc.Io.close u0 rd))
 
@@ -196,11 +198,12 @@ let test_io_fd_leak_gate_1000_spawns () =
             in
             List.iter
               (fun c ->
-                Alcotest.(check status) "leaker exited" (Proc.Exited 0)
+                Verdicts.check status "leaker exited" (Proc.Exited 0)
                   (wait_ok ~parent:u0 ~vpid:(Proc.getpid c)))
               kids
           done;
-          Alcotest.(check int) "only the root survives" 1 (Proc.live_procs w));
+          Verdicts.check Alcotest.int "only the root survives"
+            1 (Proc.live_procs w));
       let after = match count_fds () with Some n -> n | None -> baseline in
       Alcotest.(check int) "fd count back to baseline after 1000 ULPs"
         baseline after
@@ -211,20 +214,20 @@ let test_spawn_exit_codes () =
   run2 (fun () ->
       let w = Proc.boot () in
       let u0 = Proc.root w in
-      Alcotest.(check int) "root is vpid 1" 1 (Proc.getpid u0);
-      Alcotest.(check int) "root's parent is 0" 0 (Proc.getppid u0);
+      Verdicts.check Alcotest.int "root is vpid 1" 1 (Proc.getpid u0);
+      Verdicts.check Alcotest.int "root's parent is 0" 0 (Proc.getppid u0);
       let normal = Proc.spawn ~parent:u0 (fun _ -> ()) in
       let coded = Proc.spawn ~parent:u0 (fun u -> Proc.exit u 3) in
       let crashed = Proc.spawn ~parent:u0 (fun _ -> failwith "boom") in
-      Alcotest.(check int) "child knows its parent" 1 (Proc.getppid coded);
-      Alcotest.(check status) "plain return is Exited 0" (Proc.Exited 0)
+      Verdicts.check Alcotest.int "child knows its parent" 1 (Proc.getppid coded);
+      Verdicts.check status "plain return is Exited 0" (Proc.Exited 0)
         (wait_ok ~parent:u0 ~vpid:(Proc.getpid normal));
-      Alcotest.(check status) "exit code carried" (Proc.Exited 3)
+      Verdicts.check status "exit code carried" (Proc.Exited 3)
         (wait_ok ~parent:u0 ~vpid:(Proc.getpid coded));
-      Alcotest.(check status) "uncaught exception is Exited 125"
+      Verdicts.check status "uncaught exception is Exited 125"
         (Proc.Exited 125)
         (wait_ok ~parent:u0 ~vpid:(Proc.getpid crashed));
-      Alcotest.(check int) "all reaped" 1 (Proc.live_procs w))
+      Verdicts.check Alcotest.int "all reaped" 1 (Proc.live_procs w))
 
 let test_try_waitpid_wnohang () =
   run2 (fun () ->
@@ -240,15 +243,15 @@ let test_try_waitpid_wnohang () =
             Proc.exit u 7)
       in
       let vpid = Proc.getpid c in
-      Alcotest.(check bool) "WNOHANG on a running child is Ok None" true
+      Verdicts.check Alcotest.bool "WNOHANG on a running child is Ok None" true
         (Proc.try_waitpid ~parent:u0 ~vpid = Ok None);
       Atomic.set gate true;
       (* the blocking variant parks THIS fiber until the exit *)
-      Alcotest.(check status) "waitpid woke with the status" (Proc.Exited 7)
+      Verdicts.check status "waitpid woke with the status" (Proc.Exited 7)
         (wait_ok ~parent:u0 ~vpid);
-      Alcotest.(check bool) "reaped: second wait is ECHILD" true
+      Verdicts.check Alcotest.bool "reaped: second wait is ECHILD" true
         (Proc.waitpid ~parent:u0 ~vpid = Error `Echild);
-      Alcotest.(check bool) "waiting a stranger is ECHILD" true
+      Verdicts.check Alcotest.bool "waiting a stranger is ECHILD" true
         (Proc.waitpid ~parent:u0 ~vpid:999 = Error `Echild))
 
 let test_zombie_holds_status_until_reaped () =
@@ -259,15 +262,16 @@ let test_zombie_holds_status_until_reaped () =
       let vpid = Proc.getpid c in
       spin_until "child exit" (fun () -> Proc.status_of c <> None);
       (* dead but unreaped: still in the table, status readable *)
-      Alcotest.(check int) "zombie still occupies the table" 2
+      Verdicts.check Alcotest.int "zombie still occupies the table" 2
         (Proc.live_procs w);
-      Alcotest.(check bool) "status readable on the zombie" true
+      Verdicts.check Alcotest.bool "status readable on the zombie" true
         (Proc.status_of c = Some (Proc.Exited 42));
-      Alcotest.(check bool) "still listed among children" true
+      Verdicts.check Alcotest.bool "still listed among children" true
         (List.mem vpid (Proc.children u0));
-      Alcotest.(check status) "reap" (Proc.Exited 42) (wait_ok ~parent:u0 ~vpid);
-      Alcotest.(check int) "table dropped the zombie" 1 (Proc.live_procs w);
-      Alcotest.(check bool) "no longer a child" true
+      Verdicts.check status "reap" (Proc.Exited 42) (wait_ok ~parent:u0 ~vpid);
+      Verdicts.check Alcotest.int "table dropped the zombie" 1
+        (Proc.live_procs w);
+      Verdicts.check Alcotest.bool "no longer a child" true
         (not (List.mem vpid (Proc.children u0))))
 
 let test_orphan_reparents_to_root () =
@@ -287,22 +291,23 @@ let test_orphan_reparents_to_root () =
             in
             Atomic.set leaf_box (Some leaf))
       in
-      Alcotest.(check status) "middle exits first" (Proc.Exited 0)
+      Verdicts.check status "middle exits first" (Proc.Exited 0)
         (wait_ok ~parent:u0 ~vpid:(Proc.getpid mid));
       let leaf =
         match Atomic.get leaf_box with
         | Some l -> l
-        | None -> Alcotest.fail "leaf never spawned"
+        | None -> failwith "leaf never spawned"
       in
       (* do_exit re-parented the live grandchild to init before
          publishing mid's status, so by now the links are rewritten *)
-      Alcotest.(check int) "orphan's ppid is the root" 1 (Proc.getppid leaf);
-      Alcotest.(check bool) "root inherited the orphan" true
+      Verdicts.check Alcotest.int "orphan's ppid is the root"
+        1 (Proc.getppid leaf);
+      Verdicts.check Alcotest.bool "root inherited the orphan" true
         (List.mem (Proc.getpid leaf) (Proc.children u0));
       Atomic.set gate true;
       (* adopted orphans self-reap: no waitpid, the table must drain *)
       spin_until "orphan self-reap" (fun () -> Proc.live_procs w = 1);
-      Alcotest.(check bool) "orphan exited cleanly" true
+      Verdicts.check Alcotest.bool "orphan exited cleanly" true
         (Proc.status_of leaf = Some (Proc.Exited 0)))
 
 (* A long-lived parent -- a server's root ULP, one child per
@@ -342,12 +347,12 @@ let test_kill_default_disposition () =
       let u0 = Proc.root w in
       let c = Proc.spawn ~parent:u0 looper in
       let vpid = Proc.getpid c in
-      Alcotest.(check bool) "kill posts" true
+      Verdicts.check Alcotest.bool "kill posts" true
         (Proc.kill w ~vpid Proc.sigterm = Ok ());
-      Alcotest.(check status) "default disposition terminates the tree"
+      Verdicts.check status "default disposition terminates the tree"
         (Proc.Signaled Proc.sigterm)
         (wait_ok ~parent:u0 ~vpid);
-      Alcotest.(check bool) "signalling the reaped vpid is ESRCH" true
+      Verdicts.check Alcotest.bool "signalling the reaped vpid is ESRCH" true
         (Proc.kill w ~vpid Proc.sigterm = Error `Esrch))
 
 let test_handler_runs_at_check () =
@@ -368,12 +373,12 @@ let test_handler_runs_at_check () =
       in
       let vpid = Proc.getpid c in
       spin_until "handler installed" (fun () -> Atomic.get ready);
-      Alcotest.(check bool) "kill posts" true
+      Verdicts.check Alcotest.bool "kill posts" true
         (Proc.kill w ~vpid Proc.sigusr1 = Ok ());
-      Alcotest.(check status) "handled signal does not terminate"
+      Verdicts.check status "handled signal does not terminate"
         (Proc.Exited 0)
         (wait_ok ~parent:u0 ~vpid);
-      Alcotest.(check int) "handler ran exactly once" 1 (Atomic.get got))
+      Verdicts.check Alcotest.int "handler ran exactly once" 1 (Atomic.get got))
 
 let test_sigkill_uncatchable () =
   run2 (fun () ->
@@ -382,14 +387,14 @@ let test_sigkill_uncatchable () =
       let c =
         Proc.spawn ~parent:u0 (fun u ->
             (match Proc.on_signal u ~signum:Proc.sigkill (Some ignore) with
-            | () -> Alcotest.fail "on_signal accepted SIGKILL"
+            | () -> Verdicts.fail "on_signal accepted SIGKILL"
             | exception Invalid_argument _ -> ());
             looper u)
       in
       let vpid = Proc.getpid c in
-      Alcotest.(check bool) "kill -9 posts" true
+      Verdicts.check Alcotest.bool "kill -9 posts" true
         (Proc.kill w ~vpid Proc.sigkill = Ok ());
-      Alcotest.(check status) "SIGKILL terminates regardless"
+      Verdicts.check status "SIGKILL terminates regardless"
         (Proc.Signaled Proc.sigkill)
         (wait_ok ~parent:u0 ~vpid))
 
@@ -420,9 +425,9 @@ let test_pending_mask () =
           Proc.pending c land (1 lsl Proc.sigusr1) <> 0
           && Proc.pending c land (1 lsl Proc.sigusr2) <> 0);
       Atomic.set gate true;
-      Alcotest.(check status) "handled at the next check" (Proc.Exited 0)
+      Verdicts.check status "handled at the next check" (Proc.Exited 0)
         (wait_ok ~parent:u0 ~vpid);
-      Alcotest.(check int) "mask drained" 0 (Proc.pending c))
+      Verdicts.check Alcotest.int "mask drained" 0 (Proc.pending c))
 
 (* ---------- multi-ULP fiber trees ---------- *)
 
@@ -435,7 +440,7 @@ let test_spawn_fiber_failure_kills_ulp () =
             Proc.spawn_fiber u (fun () -> failwith "worker blew up");
             looper u)
       in
-      Alcotest.(check status)
+      Verdicts.check status
         "a fiber's crash takes the whole ULP (first failure wins)"
         (Proc.Exited 125)
         (wait_ok ~parent:u0 ~vpid:(Proc.getpid c)))
@@ -443,7 +448,7 @@ let test_spawn_fiber_failure_kills_ulp () =
 (* ---------- multi-domain stress under TEST_SEED ---------- *)
 
 let test_multidomain_stress () =
-  Fiber.run_parallel ~domains:4 (fun () ->
+  Verdicts.run_parallel ~domains:4 (fun () ->
       let w = Proc.boot () in
       let u0 = Proc.root w in
       let n = 300 in
@@ -493,11 +498,12 @@ let test_multidomain_stress () =
             | `Exit code | `Fibers code -> Proc.Exited code
             | `Return -> Proc.Exited 0
           in
-          Alcotest.(check status)
+          Verdicts.check status
             (Printf.sprintf "vpid %d (TEST_SEED=%d)" vpid Test_seed.seed)
             expected st)
         kids;
-      Alcotest.(check int) "table drained to the root" 1 (Proc.live_procs w))
+      Verdicts.check Alcotest.int "table drained to the root"
+        1 (Proc.live_procs w))
 
 let () =
   Test_seed.announce "test_proc";

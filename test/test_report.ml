@@ -144,6 +144,139 @@ let test_timeline_collision_marker () =
   in
   check_contains s "*"
 
+(* ---------- json printer ---------- *)
+
+module Json = Report.Json
+module Bench = Report.Bench
+
+let test_json_roundtrip () =
+  let v =
+    Json.Obj
+      [
+        ("quote", Json.Str "say \"hi\"");
+        ("backslash", Json.Str "C:\\tmp\\");
+        ("tab", Json.Str "a\tb");
+        ("control", Json.Str "bell\007 nul\000 esc\027");
+        ( "nested",
+          Json.Obj
+            [ ("inner", Json.Obj [ ("deep", Json.List [ Json.Num 1.0; Json.Null ]) ]) ]
+        );
+        ( "floats",
+          Json.List
+            (List.map
+               (fun f -> Json.Num f)
+               [ 0.1; 1e-9; 1275833.916; -2.5e300; 0.015676022 ]) );
+        ( "rows",
+          Json.List
+            [ Json.Obj [ ("a", Json.Bool true) ]; Json.Obj [ ("b", Json.Bool false) ] ]
+        );
+      ]
+  in
+  let s = Json.to_string v in
+  Alcotest.(check bool) "parse (to_string v) = v" true (Json.parse s = v);
+  Alcotest.(check bool) "stable" true (Json.to_string (Json.parse s) = s);
+  check_contains s {|"control": "bell\u0007 nul\u0000 esc\u001b"|};
+  check_contains s {|"tab": "a\u0009b"|};
+  check_contains s
+    {|"floats": [0.1, 1e-09, 1275833.916, -2.5e+300, 0.015676022]|};
+  (* one field per line; array-of-object elements one per line; nested
+     objects inline *)
+  check_contains s "\n  \"nested\": {\"inner\": {\"deep\": [1, null]}},\n";
+  check_contains s
+    "\n  \"rows\": [\n    {\"a\": true},\n    {\"b\": false}\n  ]\n}\n"
+
+(* ---------- bench rows, diff, gates ---------- *)
+
+let row ?(items = 100) name domains median_s =
+  {
+    Bench.name;
+    params = [ ("domains", Json.Num (float_of_int domains)) ];
+    items;
+    median_s;
+    p99_s = median_s;
+    throughput_per_s = float_of_int items /. median_s;
+    telemetry =
+      [ ("oversubscribed", Json.Bool false); ("parks", Json.Num 3.0) ];
+  }
+
+let file rows =
+  {
+    Bench.suite = "parallel";
+    host_cores = 2;
+    quick = false;
+    facts = [ ("warmup", Json.Num 1.0) ];
+    rows;
+  }
+
+let speedup (f : Bench.file) (r : Bench.row) =
+  Option.map
+    (fun (b : Bench.row) -> b.median_s /. r.median_s)
+    (if r.params = [ ("domains", Json.Num 1.0) ] then None
+     else Bench.peer f.rows r ("domains", Json.Num 1.0))
+
+let test_bench_json_roundtrip () =
+  let f = file [ row "a" 1 0.5; row "a" 2 0.25 ] in
+  (match Bench.of_json (Json.parse (Json.to_string (Bench.to_json f))) with
+  | Ok f' -> Alcotest.(check bool) "same file" true (f' = f)
+  | Error e -> Alcotest.fail e);
+  let v4 = Json.Obj [ ("schema", Json.Str "ulp-pip/parallel-bench/v4") ] in
+  match Bench.of_json v4 with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "an older schema must not read"
+
+let median_gate ~old now =
+  Bench.diff ~min_ratio:0.8 ~metric:"median_s" ~better:`Lower
+    (fun _ r -> Some r.Bench.median_s)
+    ~old now
+
+let test_diff_keys_on_name_and_params () =
+  let old = file [ row "a" 1 1.0; row "a" 2 1.0; row "b" 2 1.0 ] in
+  (* a@2 doubles; a@4 and c@2 have no old row, so their times count
+     for nothing *)
+  let now =
+    file [ row "a" 1 1.0; row "a" 2 2.0; row "a" 4 9.0; row "c" 2 9.0 ]
+  in
+  match median_gate ~old now with
+  | [ msg ] -> check_contains msg "a[domains=2]"
+  | l -> Alcotest.failf "want one regression, got %d" (List.length l)
+
+let test_diff_size_differs () =
+  let old = file [ row ~items:10_000 "a" 1 1.0 ] in
+  let now = file [ row ~items:1_000 "a" 1 9.0 ] in
+  Alcotest.(check (list string)) "sized metric: no ratio across sizes" []
+    (median_gate ~old now);
+  Alcotest.(check int) "unsized metric still compares" 1
+    (List.length
+       (Bench.diff ~min_ratio:0.8 ~sized:false ~metric:"median_s"
+          ~better:`Lower
+          (fun _ r -> Some r.Bench.median_s)
+          ~old now))
+
+let test_gate_runner_names_violations () =
+  let old =
+    file [ row "a" 1 1.0; row "a" 2 0.5; row "b" 1 1.0; row "b" 2 0.5 ]
+  in
+  (* seed one regression: b@2's speedup falls from 2.0x to 1.0x *)
+  let now =
+    file [ row "a" 1 1.0; row "a" 2 0.5; row "b" 1 1.0; row "b" 2 1.0 ]
+  in
+  let gates =
+    [
+      ("always-fine", fun _ -> []);
+      ( "speedup-regression",
+        fun f ->
+          Bench.diff ~min_ratio:0.8 ~sized:false ~metric:"speedup"
+            ~better:`Higher speedup ~old f );
+    ]
+  in
+  (match Bench.check gates now with
+  | [ ("speedup-regression", msg) ] -> check_contains msg "b[domains=2]"
+  | vs ->
+      Alcotest.failf "want exactly one named violation, got %d"
+        (List.length vs));
+  Alcotest.(check int) "the old file passes" 0
+    (List.length (Bench.check gates old))
+
 (* ---------- properties ---------- *)
 
 let prop_csv_field_count_preserved =
@@ -211,6 +344,17 @@ let () =
             test_timeline_single_instant;
           Alcotest.test_case "collision marker" `Quick
             test_timeline_collision_marker;
+        ] );
+      ( "json",
+        [ Alcotest.test_case "to_string/parse round trip" `Quick test_json_roundtrip ] );
+      ( "bench",
+        [
+          Alcotest.test_case "row JSON round trip" `Quick test_bench_json_roundtrip;
+          Alcotest.test_case "diff keys on name and params" `Quick
+            test_diff_keys_on_name_and_params;
+          Alcotest.test_case "diff: size differs" `Quick test_diff_size_differs;
+          Alcotest.test_case "gate runner names violations" `Quick
+            test_gate_runner_names_violations;
         ] );
       ( "properties",
         [
